@@ -41,7 +41,7 @@ from .criteria import (
     run_all_checks,
     weight_table,
 )
-from .harmonic import GridSpec, HarmonicMapSpec
+from .harmonic import GridSpec, HarmonicMapSpec, ScanResult
 from .mapfile import (
     MapDocument,
     MapFileError,
@@ -59,6 +59,15 @@ _FAIL_EXIT = 1
 
 def _fmt_bool(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _scan_lines(key: str, min_key: str, scan: ScanResult) -> list[str]:
+    return [
+        f"{key}_{min_key} = {format_number(scan.min_value)}",
+        f"{key}_witness_re = {format_number(scan.witness.real)}",
+        f"{key}_witness_im = {format_number(scan.witness.imag)}",
+        f"{key}_pass = {_fmt_bool(scan.passed)}",
+    ]
 
 
 def report_lines(report: VerificationReport) -> list[str]:
@@ -86,37 +95,17 @@ def report_lines(report: VerificationReport) -> list[str]:
             f"necessary_sharp_sum = {format_number(report.necessary_sharp.value)}",
             f"necessary_sharp_pass = {_fmt_bool(report.necessary_sharp.passed)}",
         ]
-    sense = report.sense_preserving
-    nonvan = report.nonvanishing
-    lines += [
-        f"sense_preserving_min = {format_number(sense.min_value)}",
-        f"sense_preserving_witness_re = {format_number(sense.witness.real)}",
-        f"sense_preserving_witness_im = {format_number(sense.witness.imag)}",
-        f"sense_preserving_pass = {_fmt_bool(sense.passed)}",
-        f"nonvanishing_min = {format_number(nonvan.min_value)}",
-        f"nonvanishing_witness_re = {format_number(nonvan.witness.real)}",
-        f"nonvanishing_witness_im = {format_number(nonvan.witness.imag)}",
-        f"nonvanishing_pass = {_fmt_bool(nonvan.passed)}",
-        f"pointwise_applicable = {_fmt_bool(report.pointwise is not None)}",
-    ]
+    lines += _scan_lines("sense_preserving", "min", report.sense_preserving)
+    lines += _scan_lines("nonvanishing", "min", report.nonvanishing)
+    lines.append(f"pointwise_applicable = {_fmt_bool(report.pointwise is not None)}")
     if report.pointwise is not None:
-        pw = report.pointwise
         lhs, rhs = report.inequality_sides
-        lines += [
-            f"pointwise_min_margin = {format_number(pw.min_value)}",
-            f"pointwise_witness_re = {format_number(pw.witness.real)}",
-            f"pointwise_witness_im = {format_number(pw.witness.imag)}",
-            f"pointwise_pass = {_fmt_bool(pw.passed)}",
+        lines += _scan_lines("pointwise", "min_margin", report.pointwise) + [
             f"inequality_lhs = {format_number(lhs)}",
             f"inequality_rhs = {format_number(rhs)}",
         ]
     if report.margin is not None:
-        lines += [
-            f"margin_min = {format_number(report.margin.min_value)}",
-            f"margin_witness_re = {format_number(report.margin.witness.real)}",
-            f"margin_witness_im = {format_number(report.margin.witness.imag)}",
-            f"margin_pass = {_fmt_bool(report.margin.passed)}",
-        ]
+        lines += _scan_lines("margin", "min", report.margin)
     lines.append(f"growth_applicable = {_fmt_bool(report.growth is not None)}")
     if report.growth is not None:
         lines += [
@@ -272,6 +261,8 @@ def _cmd_construct(args) -> int:
             a=h.coeffs[2:], b=[], truncation_order=h.order, signed_form=False
         )
     elif args.builder == "f-epsilon":
+        if args.n_eps < 1:
+            raise argparse.ArgumentTypeError("--n-eps must be at least 1")
         F, p_file = load_map_file(args.from_file)
         p = p or p_file
         if not F.signed_form:
@@ -299,16 +290,19 @@ def _cmd_construct(args) -> int:
 
 def _cmd_plot(args) -> int:
     m, _ = load_map_file(args.file)
-    radii = (
-        tuple(float(r) for r in args.radii.split(","))
-        if args.radii
-        else DEFAULT_RADII
-    )
-    spec = PlotSpec(
-        radii=radii,
-        samples_per_circle=args.samples,
-        fmt="csv" if args.csv else "svg",
-    )
+    try:
+        radii = (
+            tuple(float(r) for r in args.radii.split(","))
+            if args.radii
+            else DEFAULT_RADII
+        )
+        spec = PlotSpec(
+            radii=radii,
+            samples_per_circle=args.samples,
+            fmt="csv" if args.csv else "svg",
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     text = render_csv(m, spec) if args.csv else render_svg(m, spec)
     _write_output(text, args.out)
     return 0

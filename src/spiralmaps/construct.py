@@ -31,8 +31,8 @@ from .harmonic import (
 )
 from .criteria import (
     EpsilonScanResult,
-    NearZeroError,
     SpiralParams,
+    family_scan,
     silverman_check,
     weight_table,
 )
@@ -357,16 +357,11 @@ def transform_family_check(
         raise NormalizationError("family check needs H(0) = 0 and H'(0) = 1")
     if abs(G.coeffs[0]) > NORMALIZATION_TOL:
         raise NormalizationError("family check needs G(0) = 0")
-    if n_eps < 1:
-        raise ValueError("need at least one unimodular sample")
     mu = transform_exponent(p, orientation)
     pts = grid_points(grid)
     rot = np.exp(-1j * orientation * p.lam)
-    best = math.inf
-    witness = 0j
-    witness_eps = 1 + 0j
-    for k in range(n_eps):
-        eps = complex(np.exp(2j * np.pi * k / n_eps))
+
+    def member(eps):
         s = (H + eps * G).divided_by_z()
         w0 = s[0]
         if abs(w0) < 1e-9:
@@ -374,20 +369,9 @@ def transform_family_check(
                 f"H + eps G degenerates at eps = {eps}: linear coefficient {w0:.3e}"
             )
         f_eps = pow_series((1.0 / w0) * s, mu).times_z()
-        fv = f_eps.evaluate(pts)
-        absf = np.abs(fv)
-        j = int(np.argmin(absf))
-        if absf[j] < grid.margin_eps:
-            raise NearZeroError(
-                f"|F_eps| = {absf[j]:.3e} below margin at eps = {eps}, z = {pts[j]}"
-            )
-        vals = np.real(rot * pts * f_eps.differentiate().evaluate(pts) / fv)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best = float(vals[j])
-            witness = complex(pts[j])
-            witness_eps = eps
-    return EpsilonScanResult(best, witness, witness_eps, best > -grid.margin_eps)
+        return f_eps.evaluate(pts), rot * pts * f_eps.differentiate().evaluate(pts)
+
+    return family_scan(member, pts, n_eps, grid.margin_eps, "F_eps")
 
 
 # -------------------------------------------------------------------- catalog

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .harmonic import (
+    GridField,
     GridSpec,
     HarmonicMapSpec,
     ScanResult,
@@ -31,9 +32,6 @@ from .harmonic import (
     g_values,
     grid_points,
     h_values,
-    jacobian,
-    nonvanishing_on_grid,
-    sense_preserving_on_grid,
 )
 
 #: Uniform pass margin for the strict inequalities in coefficient tests.
@@ -125,6 +123,12 @@ def _tail_magnitudes(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.abs(m.a), np.abs(m.b), na, nb
 
 
+def _weighted_sum(m: HarmonicMapSpec, weights: np.ndarray) -> float:
+    """sum w_n |a_n| + sum w_n |b_n| over the stored tail, ``weights[n]`` = w_n."""
+    amag, bmag, na, nb = _tail_magnitudes(m)
+    return float(np.dot(weights[na], amag) + np.dot(weights[nb], bmag))
+
+
 def silverman_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> CheckResult:
     """n-weighted coefficient budget: 1 + sum n|a_n| + sum n|b_n| <= 2.
 
@@ -133,8 +137,7 @@ def silverman_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> CheckResult
     sign-restricted class.  For maps with non-decaying coefficients the sum
     is reported at the truncation order and fails at a finite stage.
     """
-    amag, bmag, na, nb = _tail_magnitudes(m)
-    total = 1.0 + float(np.dot(na, amag) + np.dot(nb, bmag))
+    total = 1.0 + _weighted_sum(m, np.arange(m.truncation_order + 1))
     return CheckResult(total, total <= 2.0 + tol)
 
 
@@ -143,10 +146,7 @@ def sufficient_check(
 ) -> CheckResult:
     """(A_n/B)-weighted coefficient sum; <= 1 certifies hereditary
     spirallikeness at this angle (sums truncated at the map's order)."""
-    amag, bmag, na, nb = _tail_magnitudes(m)
-    wt = weight_table(p, m.truncation_order)
-    ratios = wt.sufficient_ratios()
-    total = float(np.dot(ratios[na], amag) + np.dot(ratios[nb], bmag))
+    total = _weighted_sum(m, weight_table(p, m.truncation_order).sufficient_ratios())
     return CheckResult(total, total <= 1.0 + tol)
 
 
@@ -159,10 +159,7 @@ def necessary_weighted_check(
         raise ClassFormError(
             "the weighted necessary condition is only asserted on sign-restricted maps"
         )
-    amag, bmag, na, nb = _tail_magnitudes(m)
-    wt = weight_table(p, m.truncation_order)
-    ratios = wt.necessary_ratios()
-    total = float(np.dot(ratios[na], amag) + np.dot(ratios[nb], bmag))
+    total = _weighted_sum(m, weight_table(p, m.truncation_order).necessary_ratios())
     return CheckResult(total, total <= 1.0 + tol)
 
 
@@ -174,12 +171,22 @@ def necessary_sharp_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> Check
         raise ClassFormError(
             "the sharp necessary condition is only asserted on sign-restricted maps"
         )
-    amag, bmag, na, nb = _tail_magnitudes(m)
-    total = float(np.dot(na, amag) + np.dot(nb, bmag))
+    total = _weighted_sum(m, np.arange(m.truncation_order + 1))
     return CheckResult(total, total <= 1.0 + tol)
 
 
 # ------------------------------------------------------------ pointwise checks
+
+
+def _spiral_scan(field: GridField) -> ScanResult:
+    absf = field.nonvanishing
+    if absf.min_value < field.grid.margin_eps:
+        raise NearZeroError(
+            f"|f| = {absf.min_value:.3e} below margin {field.grid.margin_eps:.1e} "
+            f"at z = {absf.witness}"
+        )
+    margins = np.real(field.rot_df / field.f)
+    return ScanResult.minimum(margins, field.points, -field.grid.margin_eps)
 
 
 def pointwise_spiral_check(
@@ -191,19 +198,7 @@ def pointwise_spiral_check(
     margin_eps anywhere on the grid (the division guard; equivalent to the
     nonvanishing scan failing).
     """
-    pts = grid_points(grid)
-    fv = eval_f(m, pts)
-    absf = np.abs(fv)
-    k = int(np.argmin(absf))
-    if absf[k] < grid.margin_eps:
-        raise NearZeroError(
-            f"|f| = {absf[k]:.3e} below margin {grid.margin_eps:.1e} at z = {pts[k]}"
-        )
-    margins = np.real(p.phase * d_operator(m, pts) / fv)
-    k = int(np.argmin(margins))
-    return ScanResult(
-        float(margins[k]), complex(pts[k]), bool(margins[k] > -grid.margin_eps)
-    )
+    return _spiral_scan(GridField(m, grid, p.phase))
 
 
 def pointwise_fully_starlike_check(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:
@@ -260,14 +255,16 @@ def spiral_margin(m: HarmonicMapSpec, p: SpiralParams, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _margin_scan(field: GridField) -> ScanResult:
+    v = np.abs(field.f + field.rot_df) - np.abs(field.f - field.rot_df)
+    return ScanResult.minimum(v, field.points, -field.grid.margin_eps)
+
+
 def spiral_margin_on_grid(
     m: HarmonicMapSpec, p: SpiralParams, grid: GridSpec
 ) -> ScanResult:
     """Minimum of the two-modulus margin over the annulus grid."""
-    pts = grid_points(grid)
-    v = spiral_margin(m, p, pts)
-    k = int(np.argmin(v))
-    return ScanResult(float(v[k]), complex(pts[k]), bool(v[k] > -grid.margin_eps))
+    return _margin_scan(GridField(m, grid, p.phase))
 
 
 @dataclass(frozen=True)
@@ -306,6 +303,33 @@ class EpsilonScanResult:
     passed: bool
 
 
+def family_scan(member, points: np.ndarray, n_eps: int, margin_eps: float, what: str):
+    """Minimum of Re(num/den) over n_eps equally spaced unimodular eps and the points.
+
+    ``member(eps)`` returns the values (den, num) of one family member on
+    ``points``.  Raises :class:`NearZeroError` naming eps and the point when
+    |den| dips below margin_eps, ``what`` naming the denominator.
+    """
+    if n_eps < 1:
+        raise ValueError("need at least one unimodular sample")
+    best = math.inf
+    witness = 0j
+    witness_eps = 1 + 0j
+    for k in range(n_eps):
+        eps = complex(np.exp(2j * np.pi * k / n_eps))
+        den, num = member(eps)
+        low = ScanResult.minimum(np.abs(den), points, margin_eps)
+        if low.min_value < margin_eps:
+            raise NearZeroError(
+                f"|{what}| = {low.min_value:.3e} below margin at eps = {eps}, "
+                f"z = {low.witness}"
+            )
+        scan = ScanResult.minimum(np.real(num / den), points, -margin_eps)
+        if scan.min_value < best:
+            best, witness, witness_eps = scan.min_value, scan.witness, eps
+    return EpsilonScanResult(best, witness, witness_eps, best > -margin_eps)
+
+
 def epsilon_starlike_check(
     m: HarmonicMapSpec, grid: GridSpec, n_eps: int = 64
 ) -> EpsilonScanResult:
@@ -316,32 +340,15 @@ def epsilon_starlike_check(
     family quantifier is sampled, so a positive result is heuristic while a
     negative one is a genuine refutation.
     """
-    if n_eps < 1:
-        raise ValueError("need at least one unimodular sample")
     pts = grid_points(grid)
     hv = h_values(m, pts)
     gv = g_values(m, pts)
     dhv = dh_values(m, pts)
     dgv = dg_values(m, pts)
-    best = math.inf
-    witness = 0j
-    witness_eps = 1 + 0j
-    for k in range(n_eps):
-        eps = complex(np.exp(2j * np.pi * k / n_eps))
-        den = hv + eps * gv
-        absden = np.abs(den)
-        j = int(np.argmin(absden))
-        if absden[j] < grid.margin_eps:
-            raise NearZeroError(
-                f"|h + eps g| = {absden[j]:.3e} below margin at eps = {eps}, z = {pts[j]}"
-            )
-        vals = np.real(pts * (dhv + eps * dgv) / den)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best = float(vals[j])
-            witness = complex(pts[j])
-            witness_eps = eps
-    return EpsilonScanResult(best, witness, witness_eps, best > -grid.margin_eps)
+    return family_scan(
+        lambda eps: (hv + eps * gv, pts * (dhv + eps * dgv)),
+        pts, n_eps, grid.margin_eps, "h + eps g",
+    )
 
 
 def axis_profile(m: HarmonicMapSpec, r):
@@ -422,15 +429,16 @@ def run_all_checks(
     else:
         necessary_weighted = None
         necessary_sharp = None
-    sense = sense_preserving_on_grid(m, grid)
-    nonvan = nonvanishing_on_grid(m, grid)
+    field = GridField(m, grid, p.phase)
+    sense = field.sense_preserving
+    nonvan = field.nonvanishing
     try:
-        pointwise = pointwise_spiral_check(m, p, grid)
+        pointwise = _spiral_scan(field)
         sides = spiral_inequality_sides(m, p, pointwise.witness)
     except NearZeroError:
         pointwise = None
         sides = None
-    margin = spiral_margin_on_grid(m, p, grid)
+    margin = _margin_scan(field)
     growth = (
         growth_bounds(m, p, grid.r_max) if sufficient.passed else None
     )

@@ -9,6 +9,11 @@ evaluators that override the truncated series near the boundary.
 Grid scans sample an annulus r_min <= |z| <= r_max < 1.  A small disk
 around the origin is excluded because Df/f has a direction-dependent limit
 at 0, and every criterion checked here quantifies over the punctured disk.
+
+Pass rule, eps = ``GridSpec.margin_eps``: the Jacobian and |f| pass when
+their minimum is > eps, spiral margins and unimodular-family minima when it
+is > -eps.  The witness is the first grid point, in radius-major order, that
+attains the minimum.  :class:`GridField` evaluates h, g, h', g' once per grid.
 """
 
 from __future__ import annotations
@@ -181,6 +186,13 @@ class ScanResult:
     witness: complex
     passed: bool
 
+    @classmethod
+    def minimum(cls, values: np.ndarray, points: np.ndarray, threshold: float):
+        """Minimum of ``values``, the first point attaining it, and whether it
+        exceeds ``threshold``."""
+        k = int(np.argmin(values))
+        return cls(float(values[k]), complex(points[k]), bool(values[k] > threshold))
+
 
 # ---------------------------------------------------------------- evaluation
 
@@ -195,43 +207,30 @@ def _as_points(z) -> tuple[np.ndarray, bool]:
     return zarr, scalar
 
 
-def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full(z.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+def _values(m: HarmonicMapSpec, z, part: str):
+    zarr, scalar = _as_points(z)
+    if m.closed_form:
+        out = getattr(m.closed_form, part)(zarr)
+    else:
+        series = m.h_series() if part.endswith("h") else m.g_series()
+        out = (series.differentiate() if part.startswith("d") else series).evaluate(zarr)
+    return complex(out[0]) if scalar else out
 
 
 def h_values(m: HarmonicMapSpec, z) -> np.ndarray:
-    zarr, scalar = _as_points(z)
-    out = m.closed_form.h(zarr) if m.closed_form else _polyval(m.h_coefficients(), zarr)
-    return complex(out[0]) if scalar else out
+    return _values(m, z, "h")
 
 
 def g_values(m: HarmonicMapSpec, z) -> np.ndarray:
-    zarr, scalar = _as_points(z)
-    out = m.closed_form.g(zarr) if m.closed_form else _polyval(m.g_coefficients(), zarr)
-    return complex(out[0]) if scalar else out
+    return _values(m, z, "g")
 
 
 def dh_values(m: HarmonicMapSpec, z) -> np.ndarray:
-    zarr, scalar = _as_points(z)
-    if m.closed_form:
-        out = m.closed_form.dh(zarr)
-    else:
-        c = m.h_coefficients()
-        out = _polyval(c[1:] * np.arange(1, c.size), zarr)
-    return complex(out[0]) if scalar else out
+    return _values(m, z, "dh")
 
 
 def dg_values(m: HarmonicMapSpec, z) -> np.ndarray:
-    zarr, scalar = _as_points(z)
-    if m.closed_form:
-        out = m.closed_form.dg(zarr)
-    else:
-        c = m.g_coefficients()
-        out = _polyval(c[1:] * np.arange(1, c.size), zarr)
-    return complex(out[0]) if scalar else out
+    return _values(m, z, "dg")
 
 
 def _require_in_disk(z):
@@ -261,11 +260,6 @@ def jacobian(m: HarmonicMapSpec, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pair_values(h: PowerSeries, g: PowerSeries, z):
-    """f = h + conj(g) for an arbitrary analytic series pair."""
-    return h.evaluate(z) + np.conj(g.evaluate(z))
-
-
 def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
     """Df for an arbitrary analytic series pair (no class normalization)."""
     zarr = np.asarray(z, dtype=np.complex128)
@@ -277,17 +271,33 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 # ---------------------------------------------------------------- grid scans
 
 
+class GridField:
+    """f, phase * Df and the Jacobian and |f| scans of one map on one grid.
+
+    The products run in place to bound the live grid-sized arrays; they keep
+    the operand order of the plain expressions, so the bits are the same."""
+
+    def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
+        z = self.points = grid_points(grid)
+        self.grid = grid
+        self.f = h_values(m, z) + np.conj(g_values(m, z))
+        self.nonvanishing = ScanResult.minimum(np.abs(self.f), z, grid.margin_eps)
+        dh = dh_values(m, z)
+        dg = dg_values(m, z)
+        self.sense_preserving = ScanResult.minimum(
+            np.abs(dh) ** 2 - np.abs(dg) ** 2, z, grid.margin_eps
+        )
+        np.multiply(z, dh, out=dh)
+        np.multiply(z, dg, out=dg)
+        np.subtract(dh, np.conj(dg, out=dg), out=dh)
+        self.rot_df = np.multiply(phase, dh, out=dh)
+
+
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:
     """Minimum Jacobian over the grid; passes when it clears margin_eps."""
-    pts = grid_points(grid)
-    j = jacobian(m, pts)
-    k = int(np.argmin(j))
-    return ScanResult(float(j[k]), complex(pts[k]), bool(j[k] > grid.margin_eps))
+    return GridField(m, grid).sense_preserving
 
 
 def nonvanishing_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:
     """Minimum |f| over the grid (origin excluded by construction)."""
-    pts = grid_points(grid)
-    v = np.abs(eval_f(m, pts))
-    k = int(np.argmin(v))
-    return ScanResult(float(v[k]), complex(pts[k]), bool(v[k] > grid.margin_eps))
+    return GridField(m, grid).nonvanishing

@@ -119,6 +119,15 @@ class TestVerify:
             rep = parse_report(out)
             assert rc == expected
             assert rep["all_pass"] == ("true" if expected == 0 else "false")
+        for argv in (
+            ["plot", identity_file, "--samples", "10"],
+            ["plot", identity_file, "--radii", "1.5"],
+            ["plot", identity_file, "--radii", "abc"],
+            ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "0"],
+        ):
+            rc, out, err = run_cli(argv, capsys)
+            assert rc == 2, argv
+            assert out == "" and err.startswith("error: "), (argv, err)
 
 
 class TestWeights:

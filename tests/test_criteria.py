@@ -354,6 +354,12 @@ class TestEpsilonFamily:
         res = epsilon_starlike_check(k, GridSpec(n_radii=10, n_angles=64), n_eps=16)
         assert res.min_value < 0 and not res.passed
 
+    def test_vanishing_member_named(self):
+        # h + eps g = z - eps z vanishes identically at eps = 1.
+        m = HarmonicMapSpec(a=[], b=[-1.0], truncation_order=1)
+        with pytest.raises(NearZeroError, match=r"\|h \+ eps g\| = .* at eps = \(1\+0j\)"):
+            epsilon_starlike_check(m, GridSpec(n_radii=4, n_angles=16), n_eps=8)
+
 
 class TestAxisProfile:
     def test_matches_ratio_on_axis(self, rng):
@@ -398,6 +404,24 @@ class TestReport:
         assert rep.pointwise is not None and not rep.pointwise.passed
         lhs, rhs = rep.inequality_sides
         assert lhs < rhs
+
+    def test_each_field_evaluated_once_on_the_grid(self, rng, monkeypatch):
+        import spiralmaps.criteria as criteria_mod
+        import spiralmaps.harmonic as harmonic_mod
+
+        grid = GridSpec(n_radii=6, n_angles=32)
+        calls = {}
+        for name in ("h_values", "g_values", "dh_values", "dg_values"):
+            def counted(m, z, _name=name, _fn=getattr(harmonic_mod, name)):
+                if np.size(z) == grid.n_radii * grid.n_angles:
+                    calls[_name] = calls.get(_name, 0) + 1
+                return _fn(m, z)
+            monkeypatch.setattr(harmonic_mod, name, counted)
+            monkeypatch.setattr(criteria_mod, name, counted)
+        m = random_sufficient_map(rng, PI4, order=16, n_terms=8)
+        assert m.closed_form is None
+        run_all_checks(m, PI4, grid)
+        assert calls == {"h_values": 1, "g_values": 1, "dh_values": 1, "dg_values": 1}
 
     def test_near_zero_map_report(self):
         rep = run_all_checks(
