@@ -185,8 +185,7 @@ def _spiral_scan(field: GridField) -> ScanResult:
             f"|f| = {absf.min_value:.3e} below margin {field.grid.margin_eps:.1e} "
             f"at z = {absf.witness}"
         )
-    margins = np.real(field.rot_df / field.f)
-    return ScanResult.minimum(margins, field.points, -field.grid.margin_eps)
+    return field.pointwise
 
 
 def pointwise_spiral_check(
@@ -255,16 +254,11 @@ def spiral_margin(m: HarmonicMapSpec, p: SpiralParams, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _margin_scan(field: GridField) -> ScanResult:
-    v = np.abs(field.f + field.rot_df) - np.abs(field.f - field.rot_df)
-    return ScanResult.minimum(v, field.points, -field.grid.margin_eps)
-
-
 def spiral_margin_on_grid(
     m: HarmonicMapSpec, p: SpiralParams, grid: GridSpec
 ) -> ScanResult:
     """Minimum of the two-modulus margin over the annulus grid."""
-    return _margin_scan(GridField(m, grid, p.phase))
+    return GridField(m, grid, p.phase).margin
 
 
 @dataclass(frozen=True)
@@ -438,7 +432,7 @@ def run_all_checks(
     except NearZeroError:
         pointwise = None
         sides = None
-    margin = _margin_scan(field)
+    margin = field.margin
     growth = (
         growth_bounds(m, p, grid.r_max) if sufficient.passed else None
     )

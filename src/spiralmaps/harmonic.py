@@ -13,11 +13,19 @@ at 0, and every criterion checked here quantifies over the punctured disk.
 Pass rule, eps = ``GridSpec.margin_eps``: the Jacobian and |f| pass when
 their minimum is > eps, spiral margins and unimodular-family minima when it
 is > -eps.  The witness is the first grid point, in radius-major order, that
-attains the minimum.  :class:`GridField` evaluates h, g, h', g' once per grid.
+attains the minimum.
+
+:class:`GridField` walks the grid in blocks of rings and evaluates h, g, h',
+g' once per point.  Closed forms, off-grid points and grids of at most
+``FFT_MIN_POINTS`` points go through the closed form or Horner
+(:meth:`PowerSeries.evaluate`).  A series-backed map on a larger grid is
+evaluated ring by ring with an inverse FFT (:func:`ring_values`), which
+agrees with Horner to within 1e-12 * sum |c_n| r^n on every ring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +35,14 @@ from .series import DEFAULT_ORDER, PowerSeries
 
 #: Tolerance used when validating the sign-restricted coefficient shape.
 SIGN_SHAPE_TOL = 1e-12
+
+#: Grids with more points than this evaluate series-backed maps by FFT.  At
+#: or below it numpy elides no complex temporaries, so Horner gives stable
+#: bits; the FFT would move witnesses of rounding-level ties there.
+FFT_MIN_POINTS = 16384
+
+#: Points per block of rings in :class:`GridField` (at least one ring).
+BLOCK_POINTS = 16384
 
 
 class DomainError(ValueError):
@@ -167,14 +183,19 @@ class GridSpec:
             raise ValueError("need at least one radius")
         if self.n_angles < 8:
             raise ValueError("need at least 8 angles")
-        if self.margin_eps < 0.0:
-            raise ValueError("margin_eps must be nonnegative")
+        if not 0.0 <= self.margin_eps < math.inf:
+            raise ValueError("margin_eps must be finite and nonnegative")
+
+
+def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    return radii, angles
 
 
 def grid_points(grid: GridSpec) -> np.ndarray:
     """Flattened complex sample points r_i * exp(i theta_j)."""
-    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
-    angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    radii, angles = _grid_axes(grid)
     return (radii[:, None] * angles[None, :]).ravel()
 
 
@@ -271,26 +292,93 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 # ---------------------------------------------------------------- grid scans
 
 
-class GridField:
-    """f, phase * Df and the Jacobian and |f| scans of one map on one grid.
+def ring_values(rows, radii, n_angles: int) -> np.ndarray:
+    """Values of the series with coefficient rows ``rows`` (shape (S, L)) at
+    r e^{2 pi i j / n_angles} for r in ``radii``: shape (S, R * n_angles),
+    radius-major like :func:`grid_points`.
 
-    The products run in place to bound the live grid-sized arrays; they keep
-    the operand order of the plain expressions, so the bits are the same."""
+    On the ring |z| = r a series is the inverse DFT of c_n r^n with n folded
+    mod n_angles, so one batched FFT evaluates every row on every ring.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    radii = np.asarray(radii, dtype=np.float64)
+    spectrum = np.zeros((rows.shape[0], radii.size, n_angles), dtype=np.complex128)
+    for k in range(0, rows.shape[1], n_angles):
+        c = rows[:, None, k : k + n_angles]
+        spectrum[..., : c.shape[2]] += c * radii[:, None] ** np.arange(k, k + c.shape[2])
+    out = np.fft.ifft(spectrum.reshape(-1, n_angles), axis=1, norm="forward")
+    return out.reshape(rows.shape[0], -1)
+
+
+def _field_rows(m: HarmonicMapSpec) -> np.ndarray:
+    """Coefficient rows of h, g, h', g', each padded to N + 1 entries."""
+    h, g = m.h_series(), m.g_series()
+    rows = np.zeros((4, m.truncation_order + 1), dtype=np.complex128)
+    for row, s in zip(rows, (h, g, h.differentiate(), g.differentiate())):
+        row[: len(s)] = s.coeffs
+    return rows
+
+
+def _running_min(best: Optional[ScanResult], block: ScanResult) -> ScanResult:
+    # A later block wins only when strictly smaller: the first minimiser stays.
+    return block if best is None or block.min_value < best.min_value else best
+
+
+class GridField:
+    """The |f|, Jacobian, spiral quotient Re(phase Df/f) and two-modulus
+    margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
+
+    The rings are walked in blocks of about ``BLOCK_POINTS`` points and only
+    the running minima are kept, so memory does not grow with ``n_radii``.
+    ``pointwise`` is None exactly when min |f| < margin_eps; the quotient is
+    not formed once |f| has dipped below it.  Within a block the products run
+    in place and keep the operand order of the plain expressions, so a grid
+    of at most ``FFT_MIN_POINTS`` points gives the bits of those expressions
+    evaluated on the whole grid."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
-        z = self.points = grid_points(grid)
         self.grid = grid
-        self.f = h_values(m, z) + np.conj(g_values(m, z))
-        self.nonvanishing = ScanResult.minimum(np.abs(self.f), z, grid.margin_eps)
-        dh = dh_values(m, z)
-        dg = dg_values(m, z)
-        self.sense_preserving = ScanResult.minimum(
-            np.abs(dh) ** 2 - np.abs(dg) ** 2, z, grid.margin_eps
+        self.phase = phase
+        self.nonvanishing = self.sense_preserving = self.pointwise = self.margin = None
+        radii, angles = _grid_axes(grid)
+        rows = None
+        if m.closed_form is None and radii.size * angles.size > FFT_MIN_POINTS:
+            rows = _field_rows(m)
+        step = max(1, BLOCK_POINTS // angles.size)
+        for i in range(0, radii.size, step):
+            r = radii[i : i + step]
+            z = (r[:, None] * angles[None, :]).ravel()
+            if rows is None:
+                # On demand, so h, g are dropped before h', g' exist; the names
+                # are looked up per call, so wrappers set on the module see each call.
+                part = lambda k, z=z: (h_values, g_values, dh_values, dg_values)[k](m, z)
+            else:
+                part = ring_values(rows, r, angles.size).__getitem__
+            self._scan_block(z, part)
+        if self.nonvanishing.min_value < grid.margin_eps:
+            self.pointwise = None
+
+    def _scan_block(self, z, part):
+        eps = self.grid.margin_eps
+        f = part(0) + np.conj(part(1))
+        self.nonvanishing = _running_min(
+            self.nonvanishing, ScanResult.minimum(np.abs(f), z, eps)
+        )
+        dh, dg = part(2), part(3)
+        self.sense_preserving = _running_min(
+            self.sense_preserving,
+            ScanResult.minimum(np.abs(dh) ** 2 - np.abs(dg) ** 2, z, eps),
         )
         np.multiply(z, dh, out=dh)
         np.multiply(z, dg, out=dg)
         np.subtract(dh, np.conj(dg, out=dg), out=dh)
-        self.rot_df = np.multiply(phase, dh, out=dh)
+        rot_df = np.multiply(self.phase, dh, out=dh)
+        if self.nonvanishing.min_value >= eps:
+            self.pointwise = _running_min(
+                self.pointwise, ScanResult.minimum(np.real(rot_df / f), z, -eps)
+            )
+        margin = np.abs(f + rot_df) - np.abs(f - rot_df)
+        self.margin = _running_min(self.margin, ScanResult.minimum(margin, z, -eps))
 
 
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:

@@ -124,6 +124,10 @@ class TestVerify:
             ["plot", identity_file, "--radii", "1.5"],
             ["plot", identity_file, "--radii", "abc"],
             ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "0"],
+            ["verify", identity_file, "--eps", "nan"],
+            ["verify", identity_file, "--eps", "inf"],
+            ["construct", "f-epsilon", "--from", identity_file, "--eps", "nan"],
+            ["construct", "f-epsilon", "--from", identity_file, "--eps", "inf"],
         ):
             rc, out, err = run_cli(argv, capsys)
             assert rc == 2, argv

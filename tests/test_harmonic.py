@@ -192,6 +192,11 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError):
             GridSpec(n_angles=4)
 
+    def test_bad_margin(self):
+        for eps in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GridSpec(margin_eps=eps)
+
     def test_truncation_order_too_small(self):
         with pytest.raises(ValueError):
             HarmonicMapSpec(a=[], b=[], truncation_order=0)
