@@ -27,6 +27,8 @@ from .harmonic import (
     HarmonicMapSpec,
     grid_points,
     identity_map,
+    ring_blocks,
+    ring_values,
     signed_shape,
 )
 from .criteria import (
@@ -34,6 +36,7 @@ from .criteria import (
     SpiralParams,
     family_scan,
     silverman_check,
+    unimodular_samples,
     weight_table,
 )
 from .series import (
@@ -42,6 +45,7 @@ from .series import (
     NormalizationError,
     PowerSeries,
     log_derivative_ratio,
+    pow_rows,
     pow_series,
 )
 
@@ -326,12 +330,15 @@ def transform_identity_defect(
     exp/log/division stack.
     """
     h = spirallike_power_transform(g, p, orientation=orientation, probe=False)
-    qh = log_derivative_ratio(h)
-    qg = log_derivative_ratio(g)
-    pts = grid_points(grid)
-    lhs = np.real(np.exp(-1j * orientation * p.lam) * qh.evaluate(pts))
-    rhs = math.cos(p.lam) * np.real(qg.evaluate(pts))
-    return float(np.max(np.abs(lhs - rhs)))
+    rows = np.stack([log_derivative_ratio(h).coeffs, log_derivative_ratio(g).coeffs])
+    rot = np.exp(-1j * orientation * p.lam)
+    defect = 0.0
+    for r, _ in ring_blocks(grid):
+        qh, qg = ring_values(rows, r, grid.n_angles)
+        lhs = np.real(rot * qh)
+        rhs = math.cos(p.lam) * np.real(qg)
+        defect = np.maximum(defect, np.max(np.abs(lhs - rhs)))
+    return float(defect)
 
 
 def transform_family_check(
@@ -350,28 +357,47 @@ def transform_family_check(
     names eps if w ~ 0), transformed, and the minimum of
     Re(e^{-i lam} z F'/F) over the grid is recorded.  A positive family
     minimum supports transferring multiplier-bounded coefficients onto a
-    spirallike map; a negative one refutes it on the sampled family.
+    spirallike map; a negative one refutes it on the sampled family.  All
+    members are raised to mu by one batched recurrence (:func:`pow_rows`) and
+    evaluated ring by ring with the FFT (:func:`ring_values`).
     """
     hc = H.coeffs
     if abs(hc[0]) > NORMALIZATION_TOL or H.order < 1 or abs(hc[1] - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError("family check needs H(0) = 0 and H'(0) = 1")
     if abs(G.coeffs[0]) > NORMALIZATION_TOL:
         raise NormalizationError("family check needs G(0) = 0")
+    if G.order < 1:
+        raise ValueError("family check needs G of order at least 1")
     mu = transform_exponent(p, orientation)
-    pts = grid_points(grid)
-    rot = np.exp(-1j * orientation * p.lam)
+    eps = unimodular_samples(n_eps)
+    n = min(H.order, G.order)
+    s = H.coeffs[1 : n + 1] + eps[:, None] * G.coeffs[1 : n + 1]  # (H + eps G) / z
+    w0 = s[:, 0]
+    degenerate = np.flatnonzero(np.abs(w0) < 1e-9)
+    # Members past the first degenerate eps are never reached: its error is
+    # raised once the members before it have passed their near-zero check.
+    formed = int(degenerate[0]) if degenerate.size else n_eps
+    result = None
+    if formed:
+        rot = np.exp(-1j * orientation * p.lam)
+        rows = np.zeros((formed, 2, n + 1), dtype=np.complex128)  # F_eps, rot z F_eps'
+        rows[:, 0, 1:] = pow_rows(s[:formed] * (1.0 / w0[:formed, None]), mu)
+        rows[:, 1] = rows[:, 0] * (rot * np.arange(n + 1))
 
-    def member(eps):
-        s = (H + eps * G).divided_by_z()
-        w0 = s[0]
-        if abs(w0) < 1e-9:
-            raise ConstraintError(
-                f"H + eps G degenerates at eps = {eps}: linear coefficient {w0:.3e}"
-            )
-        f_eps = pow_series((1.0 / w0) * s, mu).times_z()
-        return f_eps.evaluate(pts), rot * pts * f_eps.differentiate().evaluate(pts)
+        def members(r, z):
+            def member(k):
+                values = ring_values(rows[k].reshape(-1, n + 1), r, grid.n_angles)
+                values = values.reshape(-1, 2, z.size)
+                return values[:, 0], values[:, 1]
+            return member
 
-    return family_scan(member, pts, n_eps, grid.margin_eps, "F_eps")
+        result = family_scan(members, grid, eps[:formed], "F_eps")
+    if formed < n_eps:
+        raise ConstraintError(
+            f"H + eps G degenerates at eps = {complex(eps[formed])}: "
+            f"linear coefficient {complex(w0[formed]):.3e}"
+        )
+    return result
 
 
 # -------------------------------------------------------------------- catalog

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .harmonic import (
+    BLOCK_POINTS,
     GridField,
     GridSpec,
     HarmonicMapSpec,
@@ -30,8 +31,9 @@ from .harmonic import (
     dh_values,
     eval_f,
     g_values,
-    grid_points,
     h_values,
+    ring_blocks,
+    ring_values,
 )
 
 #: Uniform pass margin for the strict inequalities in coefficient tests.
@@ -297,31 +299,61 @@ class EpsilonScanResult:
     passed: bool
 
 
-def family_scan(member, points: np.ndarray, n_eps: int, margin_eps: float, what: str):
-    """Minimum of Re(num/den) over n_eps equally spaced unimodular eps and the points.
-
-    ``member(eps)`` returns the values (den, num) of one family member on
-    ``points``.  Raises :class:`NearZeroError` naming eps and the point when
-    |den| dips below margin_eps, ``what`` naming the denominator.
-    """
+def unimodular_samples(n_eps: int) -> np.ndarray:
+    """The n_eps equally spaced unimodular eps = e^{2 pi i k / n_eps}, k = 0, 1, ..."""
     if n_eps < 1:
         raise ValueError("need at least one unimodular sample")
-    best = math.inf
-    witness = 0j
-    witness_eps = 1 + 0j
-    for k in range(n_eps):
-        eps = complex(np.exp(2j * np.pi * k / n_eps))
-        den, num = member(eps)
-        low = ScanResult.minimum(np.abs(den), points, margin_eps)
-        if low.min_value < margin_eps:
-            raise NearZeroError(
-                f"|{what}| = {low.min_value:.3e} below margin at eps = {eps}, "
-                f"z = {low.witness}"
-            )
-        scan = ScanResult.minimum(np.real(num / den), points, -margin_eps)
-        if scan.min_value < best:
-            best, witness, witness_eps = scan.min_value, scan.witness, eps
-    return EpsilonScanResult(best, witness, witness_eps, best > -margin_eps)
+    return np.array([complex(np.exp(2j * np.pi * k / n_eps)) for k in range(n_eps)])
+
+
+def _merge_row_minima(best, at, which, values, z) -> None:
+    # Row i of values belongs to member which[i]; a later block wins only when
+    # strictly smaller, so each member keeps its first minimiser.
+    k = np.argmin(values, axis=1)
+    v = values[np.arange(k.size), k]
+    won = v < best[which]
+    best[which[won]] = v[won]
+    at[which[won]] = z[k[won]]
+
+
+def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
+    """Minimum of Re(num/den) over the unimodular samples ``eps`` and the grid.
+
+    ``members(r, z)`` sets up the block of rings with radii ``r`` and points
+    ``z`` and returns a function that maps a slice of ``eps`` to the values
+    (den, num) of those members on ``z``, each of shape (members, points).
+    Chunks of eps times blocks of rings hold about ``BLOCK_POINTS`` values,
+    and only per-eps running minima are kept, so memory grows with neither
+    n_eps nor the grid.  Raises :class:`NearZeroError` naming eps and the
+    point for the first eps whose |den| dips below margin_eps, ``what``
+    naming the denominator; Re(num/den) is not formed for such an eps.  The
+    witness is the first minimiser, eps-major, then radius-major.
+    """
+    n, margin = eps.size, grid.margin_eps
+    low, low_at = np.full(n, np.inf), np.zeros(n, dtype=np.complex128)
+    best, best_at = np.full(n, np.inf), np.zeros(n, dtype=np.complex128)
+    chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
+    for r, z in ring_blocks(grid, chunk):
+        member = members(r, z)
+        for k in range(0, n, chunk):
+            which = np.arange(k, min(k + chunk, n))
+            den, num = member(slice(k, k + chunk))
+            _merge_row_minima(low, low_at, which, np.abs(den), z)
+            clear = low[which] >= margin
+            if not clear.all():
+                which, den, num = which[clear], den[clear], num[clear]
+            _merge_row_minima(best, best_at, which, np.real(num / den), z)
+    near = np.flatnonzero(low < margin)
+    if near.size:
+        k = near[0]
+        raise NearZeroError(
+            f"|{what}| = {low[k]:.3e} below margin at eps = {complex(eps[k])}, "
+            f"z = {complex(low_at[k])}"
+        )
+    k = int(np.argmin(best))
+    return EpsilonScanResult(
+        float(best[k]), complex(best_at[k]), complex(eps[k]), bool(best[k] > -margin)
+    )
 
 
 def epsilon_starlike_check(
@@ -332,17 +364,25 @@ def epsilon_starlike_check(
     Samples n_eps equally spaced unimodular eps and returns the minimum of
     Re(z (h + eps g)' / (h + eps g)) over the family and the grid.  The
     family quantifier is sampled, so a positive result is heuristic while a
-    negative one is a genuine refutation.
+    negative one is a genuine refutation.  A series-backed map is evaluated
+    ring by ring with the FFT (:func:`ring_values`), a closed form per block.
     """
-    pts = grid_points(grid)
-    hv = h_values(m, pts)
-    gv = g_values(m, pts)
-    dhv = dh_values(m, pts)
-    dgv = dg_values(m, pts)
-    return family_scan(
-        lambda eps: (hv + eps * gv, pts * (dhv + eps * dgv)),
-        pts, n_eps, grid.margin_eps, "h + eps g",
-    )
+    eps = unimodular_samples(n_eps)
+    rows = None
+    if m.closed_form is None:
+        h, g = m.h_coefficients(), m.g_coefficients()
+        n = np.arange(h.size)
+        rows = np.stack([h, g, n * h, n * g])  # h, g, z h', z g'
+
+    def members(r, z):
+        if rows is None:
+            hv, gv = h_values(m, z), g_values(m, z)
+            zdh, zdg = z * dh_values(m, z), z * dg_values(m, z)
+        else:
+            hv, gv, zdh, zdg = ring_values(rows, r, grid.n_angles)
+        return lambda k: (hv + eps[k, None] * gv, zdh + eps[k, None] * zdg)
+
+    return family_scan(members, grid, eps, "h + eps g")
 
 
 def axis_profile(m: HarmonicMapSpec, r):

@@ -18,9 +18,14 @@ attains the minimum.
 :class:`GridField` walks the grid in blocks of rings and evaluates h, g, h',
 g' once per point.  Closed forms, off-grid points and grids of at most
 ``FFT_MIN_POINTS`` points go through the closed form or Horner
-(:meth:`PowerSeries.evaluate`).  A series-backed map on a larger grid is
-evaluated ring by ring with an inverse FFT (:func:`ring_values`), which
-agrees with Horner to within 1e-12 * sum |c_n| r^n on every ring.
+(:meth:`PowerSeries.evaluate`); Horner is kept there only so that the
+default-grid reports stay byte-identical to the golden files.  A
+series-backed map on a larger grid is evaluated ring by ring with an inverse
+FFT (:func:`ring_values`), which agrees with Horner to within
+1e-12 * sum |c_n| r^n on every ring.  The unimodular-family scans
+(``criteria.family_scan``) evaluate series-backed members with the FFT on
+every grid, walking :func:`ring_blocks` so that each block of rings holds
+about ``BLOCK_POINTS`` values whatever the number of members.
 """
 
 from __future__ import annotations
@@ -292,6 +297,18 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 # ---------------------------------------------------------------- grid scans
 
 
+def ring_blocks(grid: GridSpec, width: int = 1):
+    """Yield (radii, points) for consecutive blocks of rings, radius-major like
+    :func:`grid_points`, each of about ``BLOCK_POINTS // width`` points (at
+    least one ring).  A scan holding ``width`` values per point then holds
+    about ``BLOCK_POINTS`` values per block, whatever the grid."""
+    radii, angles = _grid_axes(grid)
+    step = max(1, BLOCK_POINTS // (width * angles.size))
+    for i in range(0, radii.size, step):
+        r = radii[i : i + step]
+        yield r, (r[:, None] * angles[None, :]).ravel()
+
+
 def ring_values(rows, radii, n_angles: int) -> np.ndarray:
     """Values of the series with coefficient rows ``rows`` (shape (S, L)) at
     r e^{2 pi i j / n_angles} for r in ``radii``: shape (S, R * n_angles),
@@ -340,20 +357,16 @@ class GridField:
         self.grid = grid
         self.phase = phase
         self.nonvanishing = self.sense_preserving = self.pointwise = self.margin = None
-        radii, angles = _grid_axes(grid)
         rows = None
-        if m.closed_form is None and radii.size * angles.size > FFT_MIN_POINTS:
+        if m.closed_form is None and grid.n_radii * grid.n_angles > FFT_MIN_POINTS:
             rows = _field_rows(m)
-        step = max(1, BLOCK_POINTS // angles.size)
-        for i in range(0, radii.size, step):
-            r = radii[i : i + step]
-            z = (r[:, None] * angles[None, :]).ravel()
+        for r, z in ring_blocks(grid):
             if rows is None:
                 # On demand, so h, g are dropped before h', g' exist; the names
                 # are looked up per call, so wrappers set on the module see each call.
                 part = lambda k, z=z: (h_values, g_values, dh_values, dg_values)[k](m, z)
             else:
-                part = ring_values(rows, r, angles.size).__getitem__
+                part = ring_values(rows, r, grid.n_angles).__getitem__
             self._scan_block(z, part)
         if self.nonvanishing.min_value < grid.margin_eps:
             self.pointwise = None

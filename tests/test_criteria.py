@@ -6,6 +6,7 @@ sqrt(1 + n^2 - 2n cos lam), and so on.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,10 +356,13 @@ class TestEpsilonFamily:
         assert res.min_value < 0 and not res.passed
 
     def test_vanishing_member_named(self):
-        # h + eps g = z - eps z vanishes identically at eps = 1.
+        # h + eps g = z - eps z vanishes identically at eps = 1; its quotient
+        # is never formed, so no division warning either.
         m = HarmonicMapSpec(a=[], b=[-1.0], truncation_order=1)
-        with pytest.raises(NearZeroError, match=r"\|h \+ eps g\| = .* at eps = \(1\+0j\)"):
-            epsilon_starlike_check(m, GridSpec(n_radii=4, n_angles=16), n_eps=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearZeroError, match=r"\|h \+ eps g\| = .* at eps = \(1\+0j\)"):
+                epsilon_starlike_check(m, GridSpec(n_radii=4, n_angles=16), n_eps=8)
 
 
 class TestAxisProfile:

@@ -1,14 +1,28 @@
-"""GridField: FFT ring evaluation against Horner, block-wise scans, memory."""
+"""GridField and the unimodular-family scans: FFT ring evaluation against
+Horner, block-wise scans, error parity with a per-eps loop, memory."""
 
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from spiralmaps.construct import random_sufficient_map
-from spiralmaps.criteria import SpiralParams, run_all_checks, spiral_margin
+from spiralmaps.construct import (
+    ConstraintError,
+    random_sufficient_map,
+    transform_exponent,
+    transform_family_check,
+)
+from spiralmaps.criteria import (
+    NearZeroError,
+    SpiralParams,
+    epsilon_starlike_check,
+    run_all_checks,
+    spiral_margin,
+)
 from spiralmaps.harmonic import (
     BLOCK_POINTS,
     FFT_MIN_POINTS,
@@ -23,6 +37,7 @@ from spiralmaps.harmonic import (
     jacobian,
     ring_values,
 )
+from spiralmaps.series import PowerSeries, pow_series
 
 #: Angle counts below, at and far above typical truncation orders, so that
 #: n is folded mod n_angles in some draws and not in others.
@@ -130,14 +145,14 @@ def test_exact_ties_across_blocks_keep_the_first_point():
     assert report.sense_preserving.witness == complex(grid.r_min)
 
 
-def traced_peak(m, p, grid) -> int:
+def traced_peak(run) -> int:
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        run_all_checks(m, p, grid)
+        run()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -150,5 +165,236 @@ def test_peak_memory_does_not_grow_with_the_radii():
     small = GridSpec(n_radii=100, n_angles=2048)
     large = GridSpec(n_radii=400, n_angles=2048)
     run_all_checks(m, p, small)  # warm caches outside the measurement
-    growth = traced_peak(m, p, large) - traced_peak(m, p, small)
+    growth = traced_peak(lambda: run_all_checks(m, p, large)) - traced_peak(
+        lambda: run_all_checks(m, p, small)
+    )
     assert growth < 16 * BLOCK_POINTS, growth
+
+
+# ------------------------------------------------------- unimodular families
+#
+# The references below are the per-eps loop the family checks replaced: each
+# member is formed and evaluated on the whole grid by Horner, its |den| is
+# checked against the margin before Re(num/den) is formed, and a later eps
+# wins only when strictly smaller.
+
+
+def unimodular(n_eps: int) -> list:
+    return [complex(np.exp(2j * np.pi * k / n_eps)) for k in range(n_eps)]
+
+
+def sequential_family(members, pts, n_eps, margin, what):
+    """(min, witness, witness_eps, passed, scale): the per-eps loop, plus the
+    largest sum (1 + n) |c_n| r_max^n of a member's coefficients."""
+    best, witness, witness_eps, scale = math.inf, 0j, 1 + 0j, 0.0
+    for eps in unimodular(n_eps):
+        den, num, s = members(eps)
+        scale = max(scale, s)
+        k = int(np.argmin(np.abs(den)))
+        if abs(den[k]) < margin:
+            raise NearZeroError(
+                f"|{what}| = {abs(den[k]):.3e} below margin at eps = {eps}, z = {complex(pts[k])}"
+            )
+        q = np.real(num / den)
+        k = int(np.argmin(q))
+        if q[k] < best:
+            best, witness, witness_eps = float(q[k]), complex(pts[k]), eps
+    return best, witness, witness_eps, best > -margin, scale
+
+
+def weighted_sum(c, r: float) -> float:
+    return float(np.sum((1 + np.arange(c.size)) * np.abs(c) * r ** np.arange(c.size)))
+
+
+def sequential_eps_check(m: HarmonicMapSpec, grid: GridSpec, n_eps: int):
+    h, g = m.h_series(), m.g_series()
+    pts = grid_points(grid)
+    hv, gv = h.evaluate(pts), g.evaluate(pts)
+    dhv, dgv = h.differentiate().evaluate(pts), g.differentiate().evaluate(pts)
+
+    def members(eps):
+        s = weighted_sum(h.coeffs + eps * g.coeffs, grid.r_max)
+        return hv + eps * gv, pts * (dhv + eps * dgv), s
+
+    return sequential_family(members, pts, n_eps, grid.margin_eps, "h + eps g")
+
+
+def sequential_transform_check(H, G, p, grid, n_eps, orientation=1):
+    mu = transform_exponent(p, orientation)
+    rot = np.exp(-1j * orientation * p.lam)
+    pts = grid_points(grid)
+
+    def members(eps):
+        s = (H + eps * G).divided_by_z()
+        w0 = s[0]
+        if abs(w0) < 1e-9:
+            raise ConstraintError(
+                f"H + eps G degenerates at eps = {eps}: linear coefficient {w0:.3e}"
+            )
+        f_eps = pow_series((1.0 / w0) * s, mu).times_z()
+        den = f_eps.evaluate(pts)
+        num = rot * pts * f_eps.differentiate().evaluate(pts)
+        return den, num, weighted_sum(f_eps.coeffs, grid.r_max)
+
+    return sequential_family(members, pts, n_eps, grid.margin_eps, "F_eps")
+
+
+def family_map(seed: int, order: int, budget: float) -> HarmonicMapSpec:
+    """Complex coefficients with |b_1| <= 1/2 and the n-weighted sum of the
+    other terms at most budget, so that |h + eps g| >= |z| (3/4 - budget/2)
+    stays clear of zero on the punctured disk.  Odd seeds keep only b_1
+    (|b_1| <= 1/4) and one term a_k z^k of h, k >= 3, with k |a_k| =
+    1.5 budget, so |h + eps g| >= |z| / 10 and above budget 2/3 the members
+    need not be starlike."""
+    rng = np.random.default_rng(seed)
+    m = random_series_map(rng, order, budget)
+    a, b = m.a.copy(), m.b.copy()
+    b[0] *= min(1.0, 0.5 / max(abs(b[0]), 1e-300))
+    if seed % 2 and order > 2:
+        k = int(rng.integers(3, order + 1))
+        a[:] = 0
+        a[k - 2] = 1.5 * budget / k * np.exp(2j * np.pi * rng.random())
+        b[1:] = 0
+        b[0] /= 2
+    return HarmonicMapSpec(a=a, b=b, truncation_order=order)
+
+
+def assert_same_family_result(got, want, value_at):
+    best, witness, witness_eps, passed, scale = want
+    tol = 1e-12 * scale
+    assert abs(got.min_value - best) <= tol, (got.min_value, best, tol)
+    assert got.passed == passed
+    assert abs(value_at(got.witness_eps, got.witness) - got.min_value) <= tol
+
+
+#: n_angles 2048 gives chunks of 8 eps and one ring per block, so n_eps in
+#: 1..24 covers partial chunks; 8 and 24 angles fold orders up to 40.
+FAMILY_GRIDS = st.builds(
+    lambda n_angles, n_radii: GridSpec(n_radii=n_radii, n_angles=n_angles),
+    ANGLES, st.integers(1, 5),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(FAMILY_GRIDS, st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 1.3))
+def test_eps_check_agrees_with_the_per_eps_loop(grid, n_eps, order, seed, budget):
+    m = family_map(seed, order, budget)
+    want = sequential_eps_check(m, grid, n_eps)
+    got = epsilon_starlike_check(m, grid, n_eps)
+    h, g = m.h_series(), m.g_series()
+
+    def value_at(eps, z):
+        den = h(z) + eps * g(z)
+        return (z * (h.differentiate()(z) + eps * g.differentiate()(z)) / den).real
+
+    assert_same_family_result(got, want, value_at)
+
+
+@settings(max_examples=50, deadline=None)
+@given(FAMILY_GRIDS, st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 1.3), st.floats(-1.2, 1.2), st.sampled_from([1, -1]))
+def test_transform_check_agrees_with_the_per_eps_loop(
+    grid, n_eps, order, seed, budget, lam, orientation
+):
+    m = family_map(seed, order, budget)
+    H, G, p = m.h_series(), m.g_series(), SpiralParams(lam)
+    want = sequential_transform_check(H, G, p, grid, n_eps, orientation)
+    got = transform_family_check(H, G, p, grid, n_eps, orientation)
+    mu = transform_exponent(p, orientation)
+
+    def value_at(eps, z):
+        s = (H + eps * G).divided_by_z()
+        f = pow_series((1.0 / s[0]) * s, mu).times_z()
+        return (np.exp(-1j * orientation * lam) * z * f.differentiate()(z) / f(z)).real
+
+    assert_same_family_result(got, want, value_at)
+
+
+def raised(run):
+    with pytest.raises((NearZeroError, ConstraintError)) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def degenerate_pair(c2: complex):
+    """H = z, G = i z + c2 z^2: at eps = i (the second of four samples) the
+    linear coefficient 1 + eps i vanishes; F_eps = z (1 + eps c2 z / w0)."""
+    return PowerSeries.identity(2), PowerSeries([0.0, 1j, c2])
+
+
+#: radii 0.5 .. 0.9 on 10 angles: the zero at 0.72 of the first pair lies
+#: between rings at angle 0, the zero of its other members off the grid.
+PARITY_GRID = GridSpec(r_min=0.5, r_max=0.9, n_radii=5, n_angles=10, margin_eps=0.05)
+
+
+@pytest.mark.parametrize(
+    "c2, error",
+    [
+        # eps = 1: F_1 = z (1 - z / 0.72) dips below the margin at z = 0.7,
+        # before the degenerate eps = i is reached.
+        (-(1 + 1j) / 0.72, NearZeroError),
+        # eps = -1 would dip below the margin, but eps = i comes first.
+        ((1 - 1j) / 0.72, ConstraintError),
+    ],
+)
+def test_family_errors_match_the_per_eps_loop(c2, error):
+    H, G = degenerate_pair(c2)
+    p = SpiralParams(0.0)
+    want = raised(lambda: sequential_transform_check(H, G, p, PARITY_GRID, 4))
+    assert want[0] is error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert raised(lambda: transform_family_check(H, G, p, PARITY_GRID, n_eps=4)) == want
+
+
+def test_eps_near_zero_error_matches_the_per_eps_loop():
+    # h + eps g = z (1 + 0.3 eps + eps b2 z) dips below the margin at z = 0.7
+    # for eps = -1 (zero at 0.72), after two members that stay clear.
+    m = HarmonicMapSpec(a=[], b=[0.3, 0.7 / 0.72], truncation_order=2)
+    want = raised(lambda: sequential_eps_check(m, PARITY_GRID, 4))
+    assert want[0] is NearZeroError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert raised(lambda: epsilon_starlike_check(m, PARITY_GRID, n_eps=4)) == want
+
+
+def test_exact_family_ties_keep_the_first_eps():
+    # With g = 0 (G = 0) every member is the same map, so all eps tie exactly:
+    # the result is that of eps = 1 alone, across blocks and a partial chunk.
+    grid = dense_grid(2048, extra_radii=2)
+    m = family_map(3, 12, 0.5)
+    h = HarmonicMapSpec(a=m.a, b=[], truncation_order=m.truncation_order)
+    H, G, p = h.h_series(), PowerSeries.zero(12), SpiralParams(0.4)
+    for check in (
+        lambda n_eps: epsilon_starlike_check(h, grid, n_eps),
+        lambda n_eps: transform_family_check(H, G, p, grid, n_eps),
+    ):
+        res, alone = check(13), check(1)
+        assert res.witness_eps == 1 + 0j
+        assert (res.min_value, res.witness) == (alone.min_value, alone.witness)
+
+
+def test_exact_family_ties_across_blocks_keep_the_first_point():
+    # h = 1, g = 0, h' = 0: Re(z h'/h) = 0 exactly everywhere, one ring per block.
+    flat = lambda value: (lambda z: np.full(z.shape, value, dtype=np.complex128))
+    cf = ClosedForm(name="flat", h=flat(1.0), g=flat(0.0), dh=flat(0.0), dg=flat(0.0))
+    m = HarmonicMapSpec(a=[], b=[], truncation_order=1, closed_form=cf)
+    grid = GridSpec(n_radii=3, n_angles=2048)
+    res = epsilon_starlike_check(m, grid, n_eps=13)
+    assert res.min_value == 0.0 and res.passed
+    assert res.witness == complex(grid.r_min) and res.witness_eps == 1 + 0j
+
+
+def test_family_peak_memory_is_flat_in_eps_and_radii():
+    p = SpiralParams(math.pi / 4)
+    m = random_sufficient_map(np.random.default_rng(7), p, order=64, n_terms=32)
+    H, G = m.h_series(), m.g_series()
+    small, large = GridSpec(n_radii=10, n_angles=2048), GridSpec(n_radii=40, n_angles=2048)
+    for check in (
+        lambda grid, n_eps: epsilon_starlike_check(m, grid, n_eps),
+        lambda grid, n_eps: transform_family_check(H, G, p, grid, n_eps),
+    ):
+        check(small, 8)  # warm caches outside the measurement
+        growth = traced_peak(lambda: check(large, 64)) - traced_peak(lambda: check(small, 8))
+        assert growth < 16 * BLOCK_POINTS, growth

@@ -16,6 +16,7 @@ from spiralmaps.series import (
     exp_series,
     log_derivative_ratio,
     log_series,
+    pow_rows,
     pow_series,
 )
 
@@ -209,6 +210,20 @@ class TestLogExpPow:
             out = pow_series(one_minus_z, -c)
             oracle = binomial_negative_power(c, 64)
             assert np.allclose(out.coeffs, oracle, rtol=1e-10, atol=1e-10)
+
+    def test_pow_rows_batch_matches_binomial_oracle(self, rng):
+        # Row k is (1 - z)^(-c_k) raised to mu, i.e. (1 - z)^(-mu c_k).
+        mu = 0.6 - 0.3j
+        cs = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
+        rows = np.array([binomial_negative_power(c, 40) for c in cs])
+        out = pow_rows(rows, mu)
+        for c, got in zip(cs, out):
+            assert np.allclose(got, binomial_negative_power(mu * c, 40), rtol=1e-10, atol=1e-10)
+
+    def test_pow_rows_names_the_first_bad_constant(self):
+        rows = np.array([[1.0, 0.5], [2.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(NormalizationError, match=r"got \(2\+0j\)"):
+            pow_rows(rows, 0.5)
 
 
 class TestDivide:
