@@ -12,6 +12,12 @@ A map file is a single JSON document with the fields
 Exactly one of (a and b) or catalog is present.  NaN/Inf never parse.
 Emission is canonical: fixed key order, numbers at 9 significant digits, so
 emit(parse(emit(x))) is byte-identical.
+
+Every number this package writes as text goes through this module:
+``format_number`` for a single number and ``format_array`` for a whole
+array (coefficient lists here, plotted curves in ``render``).  Both apply
+one rule: 9 significant digits (``%.9g``), ``-0.0`` written as ``0``, and
+``ValueError("non-finite number in output")`` on NaN or inf.
 """
 
 from __future__ import annotations
@@ -38,6 +44,24 @@ def format_number(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite number in output")
     return format(x, ".9g")
+
+
+def format_array(template: str, *columns) -> str:
+    """``template`` filled with the numbers of ``columns``, row by row.
+
+    The columns are equal-length float arrays (a 2-D array or a list of
+    ``[re, im]`` pairs counts as its columns), interleaved row-major
+    (``x0, y0, x1, y1, ...`` for two), and ``template`` holds one ``%.9g``
+    per number in that order: usually a row template repeated once per row.
+    The rule is ``format_number``'s, applied once per array in numpy: the
+    finiteness check, and ``x + 0.0`` turning ``-0.0`` into ``0.0``; then a
+    single ``%`` formats every number (``"%.9g" % x == format(x, ".9g")``
+    for a Python float).
+    """
+    values = np.column_stack(columns) + 0.0  # normalize -0.0
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number in output")
+    return template % tuple(values.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -168,8 +192,8 @@ def document_from_map(m: HarmonicMapSpec, p: SpiralParams) -> MapDocument:
 def _emit_pairs(pairs: list) -> str:
     if not pairs:
         return "[]"
-    body = ", ".join(f"[{format_number(re)}, {format_number(im)}]" for re, im in pairs)
-    return f"[{body}]"
+    body = ", ".join(["[%.9g, %.9g]"] * len(pairs))
+    return "[" + format_array(body, pairs) + "]"
 
 
 def emit_map_document(doc: MapDocument) -> str:

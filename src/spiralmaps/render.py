@@ -4,6 +4,13 @@ Each plotted curve is the image of a circle |z| = r under the map, sampled
 at equally spaced angles and closed by repeating the first point.  Output
 is deterministic byte for byte: fixed palette, fixed key order, every
 number at 9 significant digits, no timestamps.
+
+Numbers are formatted one array at a time by ``mapfile.format_array``: one
+call per plotted curve (its SVG polyline points, or its CSV rows) and one
+for the CSV angle column, which every radius shares.  Only the handful of
+SVG header numbers go through ``mapfile.format_number``.  A curve that
+overflows to NaN or inf raises ``ValueError("non-finite number in
+output")`` from the formatter, without numpy warnings.
 """
 
 from __future__ import annotations
@@ -13,10 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonic import HarmonicMapSpec, eval_f
-from .mapfile import format_number
+from .mapfile import format_array, format_number
 
 #: Default radii resolve the boundary shear of strongly spiralled images.
 DEFAULT_RADII = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)
+
+#: Cap on len(radii) * samples_per_circle: 200x the default plot's 5,040
+#: points, or about 40 MB of CSV text.
+MAX_PLOT_POINTS = 1_000_000
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -44,6 +55,11 @@ class PlotSpec:
             raise ValueError("radii must be strictly increasing")
         if self.samples_per_circle < 64:
             raise ValueError("need at least 64 samples per circle")
+        if len(radii) * self.samples_per_circle > MAX_PLOT_POINTS:
+            raise ValueError(
+                f"at most {MAX_PLOT_POINTS} plotted points (radii x samples), "
+                f"got {len(radii)} x {self.samples_per_circle}"
+            )
         if self.fmt not in ("svg", "csv"):
             raise ValueError("format must be 'svg' or 'csv'")
         if self.width < 1 or self.height < 1:
@@ -51,24 +67,32 @@ class PlotSpec:
         object.__setattr__(self, "radii", radii)
 
 
+def _angles(samples: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(samples) / samples
+
+
 def circle_image(m: HarmonicMapSpec, r: float, samples: int) -> np.ndarray:
-    """Image points f(r e^{i theta}) at ``samples`` equally spaced angles."""
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    return eval_f(m, r * np.exp(1j * theta))
+    """Image points f(r e^{i theta}) at ``samples`` equally spaced angles.
+
+    Overflow gives NaN or inf points silently; the formatter rejects them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eval_f(m, r * np.exp(1j * _angles(samples)))
 
 
 def render_csv(m: HarmonicMapSpec, spec: PlotSpec) -> str:
     """CSV document with columns r, theta, re, im."""
-    rows = ["r,theta,re,im"]
+    samples = spec.samples_per_circle
+    thetas = format_array("%.9g\n" * samples, _angles(samples)).split()
+    parts = ["r,theta,re,im\n"]
     for r in spec.radii:
-        theta = 2.0 * np.pi * np.arange(spec.samples_per_circle) / spec.samples_per_circle
-        w = eval_f(m, r * np.exp(1j * theta))
-        for t, wv in zip(theta, w):
-            rows.append(
-                f"{format_number(r)},{format_number(t)},"
-                f"{format_number(wv.real)},{format_number(wv.imag)}"
-            )
-    return "\n".join(rows) + "\n"
+        # Row j is "r,theta_j,re_j,im_j": r and theta_j are fixed text in the
+        # template, re_j and im_j its two %.9g slots.
+        head = format_number(r) + ","
+        template = head + f",%.9g,%.9g\n{head}".join(thetas) + ",%.9g,%.9g\n"
+        w = circle_image(m, r, samples)
+        parts.append(format_array(template, w.real, w.imag))
+    return "".join(parts)
 
 
 def render_svg(m: HarmonicMapSpec, spec: PlotSpec) -> str:
@@ -95,9 +119,8 @@ def render_svg(m: HarmonicMapSpec, spec: PlotSpec) -> str:
     ]
     for k, curve in enumerate(curves):
         closed = np.append(curve, curve[0])
-        pts = " ".join(
-            f"{format_number(w.real)},{format_number(-w.imag)}" for w in closed
-        )
+        template = " ".join(["%.9g,%.9g"] * closed.size)
+        pts = format_array(template, closed.real, -closed.imag)
         color = _PALETTE[k % len(_PALETTE)]
         lines.append(
             f'<polyline fill="none" stroke="{color}" '

@@ -123,6 +123,7 @@ class TestVerify:
             ["plot", identity_file, "--samples", "10"],
             ["plot", identity_file, "--radii", "1.5"],
             ["plot", identity_file, "--radii", "abc"],
+            ["plot", identity_file, "--samples", "2000000000"],
             ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "0"],
             ["verify", identity_file, "--eps", "nan"],
             ["verify", identity_file, "--eps", "inf"],

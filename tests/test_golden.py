@@ -4,7 +4,12 @@
 
 - ``verify`` on the default grid for every catalog entry at four spiral
   angles, plus the order-64 power transform of ``koebe``;
-- ``construct power-transform --g koebe`` and one ``plot --csv``;
+- ``construct power-transform --g koebe``;
+- ``plot`` as CSV and SVG of ``f3`` and of a seeded order-64
+  ``random_signed_map``;
+- an emitted map file whose coefficients sit on the edges of the
+  9-significant-digit format: ``-0.0``, subnormals, values near ``1e-5``,
+  ``1e9`` and ``1e16``, ``+-1.7e308`` and values that round up a decade;
 - the full-precision scan minima and pass flags of ``verify`` on a
   200x2048 grid.
 
@@ -27,17 +32,33 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from spiralmaps.cli import main
-from spiralmaps.construct import catalog_names
-from spiralmaps.criteria import run_all_checks
+from spiralmaps.construct import catalog_names, random_signed_map
+from spiralmaps.criteria import SpiralParams, run_all_checks
 from spiralmaps.harmonic import GridSpec
-from spiralmaps.mapfile import load_map_file
+from spiralmaps.mapfile import (
+    MapDocument,
+    document_from_map,
+    emit_map_document,
+    load_map_file,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 LAMBDAS = ("0", "0.785398163", "-0.785398163", "1.047")
 ALPHA = {"f1": "-0.5", "f2": "0.95", "f3": "0.5", "f5": "0.5"}
 TRANSFORM = ["construct", "power-transform", "--g", "koebe", "--lambda", "-0.785398163"]
-PLOT = ("f3", "0.785398163", ["--csv", "--samples", "64"])
+PLOT = ("f3", "0.785398163", ["--samples", "64"])
+RANDOM_PLOT = (20240817, 0.6, ["--radii", "0.3,0.7,0.95", "--samples", "96"])
+EDGE_A = [
+    [-0.0, 0.0], [5e-324, -5e-324], [2.2250738585072014e-308, -1e-310],
+    [1e-5, -1e-5], [9.99999999e-6, 9.999999995e-6], [9.9999999996e-5, 1.00000000049e-5],
+    [1e16, -1e16], [9.9999999996e15, 1.23456789012e16], [999999999.5, 999999999.4],
+    [1e9, 123456789.0], [-1.7e308, 1.7976931348623157e308], [0.1, -0.30000000000000004],
+]
+EDGE_B = [[1.0, -0.0], [-2.5e-7, 3.3333333333333335e-5], [4.9406564584124654e-324, -0.0]]
 DENSE_GRID = GridSpec(n_radii=200, n_angles=2048)
 DENSE = (
     ("f2", "0.785398163"),
@@ -84,11 +105,43 @@ def transform_text(tmp: str) -> str:
     return out
 
 
-def plot_text(tmp: str) -> str:
-    name, lam, flags = PLOT
-    rc, out = _cli(["plot", _map_file(tmp, name, lam)] + flags)
+def _plot(path: str, flags) -> str:
+    rc, out = _cli(["plot", path] + flags)
     assert rc == 0
     return out
+
+
+def _random_map_file(tmp: str) -> str:
+    seed, lam, _ = RANDOM_PLOT
+    p = SpiralParams(lam)
+    m = random_signed_map(np.random.default_rng(seed), p, order=64)
+    path = os.path.join(tmp, "random64.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_map_document(document_from_map(m, p)))
+    return path
+
+
+def plot_csv_text(tmp: str) -> str:
+    name, lam, flags = PLOT
+    return _plot(_map_file(tmp, name, lam), ["--csv"] + flags)
+
+
+def plot_svg_text(tmp: str) -> str:
+    name, lam, flags = PLOT
+    return _plot(_map_file(tmp, name, lam), flags)
+
+
+def random_csv_text(tmp: str) -> str:
+    return _plot(_random_map_file(tmp), ["--csv"] + RANDOM_PLOT[2])
+
+
+def random_svg_text(tmp: str) -> str:
+    return _plot(_random_map_file(tmp), RANDOM_PLOT[2])
+
+
+def edge_map_text(tmp: str) -> str:
+    doc = MapDocument(lam=-0.0, truncation=13, signed_form=False, a=EDGE_A, b=EDGE_B)
+    return emit_map_document(doc)
 
 
 def dense_numbers(tmp: str) -> dict:
@@ -115,7 +168,11 @@ def dense_numbers(tmp: str) -> dict:
 TEXT_FILES = {
     "verify_catalog.txt": verify_text,
     "construct_power_transform_koebe.json": transform_text,
-    "plot_f3.csv": plot_text,
+    "plot_f3.csv": plot_csv_text,
+    "plot_f3.svg": plot_svg_text,
+    "plot_random64.csv": random_csv_text,
+    "plot_random64.svg": random_svg_text,
+    "map_edge_numbers.json": edge_map_text,
 }
 
 
@@ -140,7 +197,15 @@ def test_construct_power_transform(tmp_path):
 
 
 def test_plot_csv(tmp_path):
-    _assert_same_bytes("plot_f3.csv", plot_text(str(tmp_path)))
+    _assert_same_bytes("plot_f3.csv", plot_csv_text(str(tmp_path)))
+
+
+@pytest.mark.parametrize(
+    "filename",
+    ["plot_f3.svg", "plot_random64.csv", "plot_random64.svg", "map_edge_numbers.json"],
+)
+def test_plot_and_emit(filename, tmp_path):
+    _assert_same_bytes(filename, TEXT_FILES[filename](str(tmp_path)))
 
 
 def test_verify_dense_grid(tmp_path):

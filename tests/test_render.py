@@ -9,6 +9,7 @@ from spiralmaps.construct import catalog
 from spiralmaps.criteria import SpiralParams
 from spiralmaps.harmonic import identity_map
 from spiralmaps.render import (
+    MAX_PLOT_POINTS,
     PlotSpec,
     circle_image,
     polyline_self_intersects,
@@ -31,6 +32,16 @@ class TestPlotSpec:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             PlotSpec(radii=(0.5,), samples_per_circle=10)
+
+    def test_point_cap(self):
+        # Checked before anything is allocated.
+        PlotSpec(radii=(0.5,), samples_per_circle=MAX_PLOT_POINTS)
+        with pytest.raises(ValueError, match="at most"):
+            PlotSpec(radii=(0.5,), samples_per_circle=MAX_PLOT_POINTS + 1)
+        with pytest.raises(ValueError, match="at most"):
+            PlotSpec(radii=(0.2, 0.5), samples_per_circle=MAX_PLOT_POINTS // 2 + 1)
+        with pytest.raises(ValueError, match="at most"):
+            PlotSpec(samples_per_circle=2_000_000_000)
 
 
 class TestCurves:
