@@ -35,6 +35,7 @@ from .construct import (
     transform_family_check,
 )
 from .criteria import (
+    MAX_EPS_SAMPLES,
     NearZeroError,
     SpiralParams,
     VerificationReport,
@@ -261,8 +262,8 @@ def _cmd_construct(args) -> int:
             a=h.coeffs[2:], b=[], truncation_order=h.order, signed_form=False
         )
     elif args.builder == "f-epsilon":
-        if args.n_eps < 1:
-            raise argparse.ArgumentTypeError("--n-eps must be at least 1")
+        if not 1 <= args.n_eps <= MAX_EPS_SAMPLES:
+            raise argparse.ArgumentTypeError(f"--n-eps must lie in 1..{MAX_EPS_SAMPLES}")
         F, p_file = load_map_file(args.from_file)
         p = p or p_file
         if not F.signed_form:

@@ -39,6 +39,9 @@ from .harmonic import (
 #: Uniform pass margin for the strict inequalities in coefficient tests.
 PASS_MARGIN = 1e-9
 
+#: Cap on the number of sampled unimodular eps: 1024x the default 64.
+MAX_EPS_SAMPLES = 65536
+
 
 class ClassFormError(ValueError):
     """A check that is only asserted on the sign-restricted class was asked
@@ -303,6 +306,8 @@ def unimodular_samples(n_eps: int) -> np.ndarray:
     """The n_eps equally spaced unimodular eps = e^{2 pi i k / n_eps}, k = 0, 1, ..."""
     if n_eps < 1:
         raise ValueError("need at least one unimodular sample")
+    if n_eps > MAX_EPS_SAMPLES:
+        raise ValueError(f"at most {MAX_EPS_SAMPLES} unimodular samples, got {n_eps}")
     return np.array([complex(np.exp(2j * np.pi * k / n_eps)) for k in range(n_eps)])
 
 

@@ -15,14 +15,20 @@ their minimum is > eps, spiral margins and unimodular-family minima when it
 is > -eps.  The witness is the first grid point, in radius-major order, that
 attains the minimum.
 
-:class:`GridField` walks the grid in blocks of rings and evaluates h, g, h',
-g' once per point.  Closed forms, off-grid points and grids of at most
+:class:`GridField` walks the grid in blocks of rings and evaluates the map
+once per point.  Closed forms, off-grid points and grids of at most
 ``FFT_MIN_POINTS`` points go through the closed form or Horner
-(:meth:`PowerSeries.evaluate`); Horner is kept there only so that the
-default-grid reports stay byte-identical to the golden files.  A
-series-backed map on a larger grid is evaluated ring by ring with an inverse
-FFT (:func:`ring_values`), which agrees with Horner to within
-1e-12 * sum |c_n| r^n on every ring.  The unimodular-family scans
+(:meth:`PowerSeries.evaluate`) for h, g, h', g'; Horner is kept there only
+so that the default-grid reports stay byte-identical to the golden files.
+A series-backed map on a larger grid is evaluated ring by ring with three
+inverse FFTs per ring (:func:`ring_fields`): f, Df/z and P/z with P = z h' +
+conj(z g'), the conjugated terms folded in at negative indices.  On every
+ring they give f and Df to within 1e-12 * sum (1 + n)(|h_n| + |g_n|) r^n
+of Horner, and the Jacobian to within 1e-12 times the square of
+sum n (|h_n| + |g_n|) r^(n-1).  The scan writes into one workspace
+allocated when it starts; per block only the FFT's output, the power
+table and the fold temporaries are new.  Grids hold at most
+``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The unimodular-family scans
 (``criteria.family_scan``) evaluate series-backed members with the FFT on
 every grid, walking :func:`ring_blocks` so that each block of rings holds
 about ``BLOCK_POINTS`` values whatever the number of members.
@@ -48,6 +54,15 @@ FFT_MIN_POINTS = 16384
 
 #: Points per block of rings in :class:`GridField` (at least one ring).
 BLOCK_POINTS = 16384
+
+#: Cap on n_radii * n_angles: 20x the largest grid the tests and benchmark
+#: use (400x2048), so that the radius axis stays small.
+MAX_GRID_POINTS = 2**24
+
+#: Cap on n_angles: 32x the most the tests and benchmark use (2048).  A block
+#: holds at least one ring, so this keeps a block within 4 * BLOCK_POINTS
+#: points; without it one long ring alone would allocate gigabytes.
+MAX_ANGLES = 2**16
 
 
 class DomainError(ValueError):
@@ -188,6 +203,13 @@ class GridSpec:
             raise ValueError("need at least one radius")
         if self.n_angles < 8:
             raise ValueError("need at least 8 angles")
+        if self.n_angles > MAX_ANGLES:
+            raise ValueError(f"at most {MAX_ANGLES} angles, got {self.n_angles}")
+        if self.n_radii * self.n_angles > MAX_GRID_POINTS:
+            raise ValueError(
+                f"at most {MAX_GRID_POINTS} grid points (radii x angles), "
+                f"got {self.n_radii} x {self.n_angles}"
+            )
         if not 0.0 <= self.margin_eps < math.inf:
             raise ValueError("margin_eps must be finite and nonnegative")
 
@@ -297,16 +319,39 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 # ---------------------------------------------------------------- grid scans
 
 
+def _block_rings(grid: GridSpec, width: int = 1) -> int:
+    """Rings per block: about ``BLOCK_POINTS // width`` points, at least one
+    ring, at most the whole grid."""
+    return max(1, min(grid.n_radii, BLOCK_POINTS // (width * grid.n_angles)))
+
+
 def ring_blocks(grid: GridSpec, width: int = 1):
     """Yield (radii, points) for consecutive blocks of rings, radius-major like
     :func:`grid_points`, each of about ``BLOCK_POINTS // width`` points (at
     least one ring).  A scan holding ``width`` values per point then holds
-    about ``BLOCK_POINTS`` values per block, whatever the grid."""
+    about ``BLOCK_POINTS`` values per block, whatever the grid.  The points
+    of every block are written into one buffer, so they are valid only until
+    the next block is drawn."""
     radii, angles = _grid_axes(grid)
-    step = max(1, BLOCK_POINTS // (width * angles.size))
+    step = _block_rings(grid, width)
+    points = np.empty(step * angles.size, dtype=np.complex128)
     for i in range(0, radii.size, step):
         r = radii[i : i + step]
-        yield r, (r[:, None] * angles[None, :]).ravel()
+        z = points[: r.size * angles.size]
+        np.multiply(r[:, None], angles[None, :], out=z.reshape(r.size, angles.size))
+        yield r, z
+
+
+def _fold(spectrum, rows, powers) -> None:
+    """Add rows[s, j] * powers[i, j] to spectrum[s, i, j mod n_angles].
+
+    The product temporary holds S * R * min(L, n_angles) values for rows of
+    shape (S, L) and R rings, a fraction L / n_angles of the spectrum when
+    L < n_angles."""
+    n_angles = spectrum.shape[-1]
+    for k in range(0, rows.shape[1], n_angles):
+        c = rows[:, None, k : k + n_angles]
+        spectrum[..., : c.shape[2]] += c * powers[:, k : k + c.shape[2]]
 
 
 def ring_values(rows, radii, n_angles: int) -> np.ndarray:
@@ -320,20 +365,56 @@ def ring_values(rows, radii, n_angles: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.complex128)
     radii = np.asarray(radii, dtype=np.float64)
     spectrum = np.zeros((rows.shape[0], radii.size, n_angles), dtype=np.complex128)
-    for k in range(0, rows.shape[1], n_angles):
-        c = rows[:, None, k : k + n_angles]
-        spectrum[..., : c.shape[2]] += c * radii[:, None] ** np.arange(k, k + c.shape[2])
+    _fold(spectrum, rows, radii[:, None] ** np.arange(rows.shape[1]))
     out = np.fft.ifft(spectrum.reshape(-1, n_angles), axis=1, norm="forward")
     return out.reshape(rows.shape[0], -1)
 
 
-def _field_rows(m: HarmonicMapSpec) -> np.ndarray:
-    """Coefficient rows of h, g, h', g', each padded to N + 1 entries."""
-    h, g = m.h_series(), m.g_series()
-    rows = np.zeros((4, m.truncation_order + 1), dtype=np.complex128)
-    for row, s in zip(rows, (h, g, h.differentiate(), g.differentiate())):
-        row[: len(s)] = s.coeffs
-    return rows
+def field_rows(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ring coefficients of f, Df/z and P/z of a series-backed map, where
+    P = z h' + conj(z g'); see :func:`ring_fields`.
+
+    On the ring z = r e^{i theta}, z^n = r^n e^{i n theta} and conj(z^n) =
+    r^n e^{-i n theta}.  So f = h + conj(g) has h_n r^n at +n and conj(g_n) r^n
+    at -n, while Df/z = h' - e^{-2 i theta} conj(g') and P/z = h' +
+    e^{-2 i theta} conj(g') have n h_n r^(n-1) at n - 1 and -+n conj(g_n)
+    r^(n-1) at -(n + 1).  Returned as three row sets: the +n terms of all
+    three (column j scaled by r^j), the -n terms of f (column j by r^(j+1))
+    and the -(n + 1) terms of Df/z and P/z (column j by r^(j-1); the first
+    entry is 0).
+    """
+    h, g = m.h_coefficients(), np.conj(m.g_coefficients())
+    n = np.arange(h.size)
+    plus = np.zeros((3, h.size), dtype=np.complex128)
+    plus[0] = h
+    plus[1:, :-1] = n[1:] * h[1:]
+    return plus, g[None, 1:], np.stack([-n * g, n * g])
+
+
+def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
+    """f, Df/z and P/z on the rings |z| = r for r in ``radii``, from the
+    :func:`field_rows` ``rows``: shape (3, R * n_angles), radius-major like
+    :func:`grid_points`.  ``spectrum``, a complex (3, R, n_angles) array, is
+    overwritten.
+
+    Index j of the reversed spectrum is -(j + 1) mod n_angles, so the terms
+    at negative indices fold there as the +n terms fold into the spectrum
+    itself, and three inverse FFTs per ring give the three fields.  Then
+    Df = z (Df/z) and the Jacobian |h'|^2 - |g'|^2 is Re(P/z conj(Df/z)).
+    Spectra of Df/z and P/z rather than of Df and P keep the Jacobian of a
+    map with constant h' and g' exact (1 for the identity): Re(P conj(Df))
+    / r^2 would carry the rounding of the FFT of z.
+    """
+    plus, minus_f, minus_d = rows
+    powers = radii[:, None] ** np.arange(-1, plus.shape[1] + 1)  # r^-1 .. r^(N+1)
+    spectrum.fill(0)
+    back = spectrum[..., ::-1]
+    _fold(spectrum, plus, powers[:, 1:])
+    _fold(back[:1], minus_f, powers[:, 2:])
+    _fold(back[1:], minus_d, powers)
+    n_angles = spectrum.shape[-1]
+    out = np.fft.ifft(spectrum.reshape(-1, n_angles), axis=1, norm="forward")
+    return out.reshape(3, -1)
 
 
 def _running_min(best: Optional[ScanResult], block: ScanResult) -> ScanResult:
@@ -348,50 +429,83 @@ class GridField:
     The rings are walked in blocks of about ``BLOCK_POINTS`` points and only
     the running minima are kept, so memory does not grow with ``n_radii``.
     ``pointwise`` is None exactly when min |f| < margin_eps; the quotient is
-    not formed once |f| has dipped below it.  Within a block the products run
-    in place and keep the operand order of the plain expressions, so a grid
-    of at most ``FFT_MIN_POINTS`` points gives the bits of those expressions
-    evaluated on the whole grid."""
+    not formed once |f| has dipped below it.
+
+    Closed forms and grids of at most ``FFT_MIN_POINTS`` points evaluate h,
+    g, h', g' per block (closed form or Horner); the products run in place
+    and keep the operand order of the plain expressions, so such a grid
+    gives the bits of those expressions evaluated on the whole grid.
+
+    A series-backed map on a larger grid is evaluated by :func:`ring_fields`:
+    three inverse FFTs per ring give f, Df/z and P/z, where P = z h' +
+    conj(z g'); the Jacobian is Re(P/z conj(Df/z)) and Df is z (Df/z).  One
+    workspace, allocated at block size when the scan starts, holds the
+    three spectra and two real scratch arrays, the block's points come from
+    the buffer of :func:`ring_blocks`, and every ufunc of the scan writes
+    into them.  Per block only the inverse FFT's output (whose P/z row is
+    the complex scratch once the Jacobian is formed), the power table and
+    the fold temporaries are new; the last hold up to 3 * R * min(N + 1,
+    n_angles) values for R rings and order N, so at orders of n_angles or
+    more they are as large as the spectra."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
         self.phase = phase
         self.nonvanishing = self.sense_preserving = self.pointwise = self.margin = None
-        rows = None
         if m.closed_form is None and grid.n_radii * grid.n_angles > FFT_MIN_POINTS:
-            rows = _field_rows(m)
-        for r, z in ring_blocks(grid):
-            if rows is None:
-                # On demand, so h, g are dropped before h', g' exist; the names
-                # are looked up per call, so wrappers set on the module see each call.
-                part = lambda k, z=z: (h_values, g_values, dh_values, dg_values)[k](m, z)
-            else:
-                part = ring_values(rows, r, grid.n_angles).__getitem__
-            self._scan_block(z, part)
+            self._scan_rings(field_rows(m))
+        else:
+            for _, z in ring_blocks(grid):
+                self._scan_block(m, z)
         if self.nonvanishing.min_value < grid.margin_eps:
             self.pointwise = None
 
-    def _scan_block(self, z, part):
+    def _merge(self, name: str, values, z, threshold: float) -> None:
+        block = ScanResult.minimum(values, z, threshold)
+        setattr(self, name, _running_min(getattr(self, name), block))
+
+    def _scan_block(self, m, z):
+        # h and g are dropped before h' and g' exist; the evaluators are
+        # module names looked up per call, so wrappers set on the module see
+        # each call.
         eps = self.grid.margin_eps
-        f = part(0) + np.conj(part(1))
-        self.nonvanishing = _running_min(
-            self.nonvanishing, ScanResult.minimum(np.abs(f), z, eps)
-        )
-        dh, dg = part(2), part(3)
-        self.sense_preserving = _running_min(
-            self.sense_preserving,
-            ScanResult.minimum(np.abs(dh) ** 2 - np.abs(dg) ** 2, z, eps),
-        )
+        f = h_values(m, z) + np.conj(g_values(m, z))
+        self._merge("nonvanishing", np.abs(f), z, eps)
+        dh, dg = dh_values(m, z), dg_values(m, z)
+        self._merge("sense_preserving", np.abs(dh) ** 2 - np.abs(dg) ** 2, z, eps)
         np.multiply(z, dh, out=dh)
         np.multiply(z, dg, out=dg)
         np.subtract(dh, np.conj(dg, out=dg), out=dh)
         rot_df = np.multiply(self.phase, dh, out=dh)
         if self.nonvanishing.min_value >= eps:
-            self.pointwise = _running_min(
-                self.pointwise, ScanResult.minimum(np.real(rot_df / f), z, -eps)
-            )
-        margin = np.abs(f + rot_df) - np.abs(f - rot_df)
-        self.margin = _running_min(self.margin, ScanResult.minimum(margin, z, -eps))
+            self._merge("pointwise", np.real(rot_df / f), z, -eps)
+        self._merge("margin", np.abs(f + rot_df) - np.abs(f - rot_df), z, -eps)
+
+    def _scan_rings(self, rows):
+        n_angles = self.grid.n_angles
+        size = _block_rings(self.grid) * n_angles
+        spectrum = np.empty(3 * size, dtype=np.complex128)
+        scratch = np.empty((2, size))
+        for r, z in ring_blocks(self.grid):
+            # The FFT's output is an argument only, so it is freed before
+            # the next block's is allocated.
+            spec = spectrum[: 3 * z.size].reshape(3, r.size, n_angles)
+            self._scan_fields(z, *ring_fields(rows, r, spec), *scratch[:, : z.size])
+
+    def _scan_fields(self, z, f, d, p, a, b):
+        # f, Df/z and P/z on the points z; d and p are overwritten, and a, b
+        # are real scratch.
+        eps = self.grid.margin_eps
+        self._merge("nonvanishing", np.abs(f, out=a), z, eps)
+        np.multiply(p.real, d.real, out=a)
+        np.add(a, np.multiply(p.imag, d.imag, out=b), out=a)
+        self._merge("sense_preserving", a, z, eps)
+        rot_df = np.multiply(self.phase, np.multiply(z, d, out=d), out=d)
+        if self.nonvanishing.min_value >= eps:
+            self._merge("pointwise", np.divide(rot_df, f, out=p).real, z, -eps)
+        np.abs(np.add(f, rot_df, out=p), out=a)
+        np.abs(np.subtract(f, rot_df, out=p), out=b)
+        self._merge("margin", np.subtract(a, b, out=a), z, -eps)
 
 
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:

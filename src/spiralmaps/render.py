@@ -6,11 +6,11 @@ is deterministic byte for byte: fixed palette, fixed key order, every
 number at 9 significant digits, no timestamps.
 
 Numbers are formatted one array at a time by ``mapfile.format_array``: one
-call per plotted curve (its SVG polyline points, or its CSV rows) and one
-for the CSV angle column, which every radius shares.  Only the handful of
-SVG header numbers go through ``mapfile.format_number``.  A curve that
-overflows to NaN or inf raises ``ValueError("non-finite number in
-output")`` from the formatter, without numpy warnings.
+call per SVG polyline, one per block of ``CSV_BLOCK_ROWS`` CSV rows of a
+curve, and one for the CSV angle column, which every radius shares.  Only
+the handful of SVG header numbers go through ``mapfile.format_number``.  A
+curve that overflows to NaN or inf raises ``ValueError("non-finite number
+in output")`` from the formatter, without numpy warnings.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ DEFAULT_RADII = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)
 #: Cap on len(radii) * samples_per_circle: 200x the default plot's 5,040
 #: points, or about 40 MB of CSV text.
 MAX_PLOT_POINTS = 1_000_000
+
+#: CSV rows formatted per ``format_array`` call, so that the template and
+#: the numbers held at once do not grow with the samples per circle; a
+#: default 720-sample curve is one block.
+CSV_BLOCK_ROWS = 4096
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -89,9 +94,11 @@ def render_csv(m: HarmonicMapSpec, spec: PlotSpec) -> str:
         # Row j is "r,theta_j,re_j,im_j": r and theta_j are fixed text in the
         # template, re_j and im_j its two %.9g slots.
         head = format_number(r) + ","
-        template = head + f",%.9g,%.9g\n{head}".join(thetas) + ",%.9g,%.9g\n"
         w = circle_image(m, r, samples)
-        parts.append(format_array(template, w.real, w.imag))
+        for i in range(0, samples, CSV_BLOCK_ROWS):
+            rows = slice(i, i + CSV_BLOCK_ROWS)
+            template = head + f",%.9g,%.9g\n{head}".join(thetas[rows]) + ",%.9g,%.9g\n"
+            parts.append(format_array(template, w.real[rows], w.imag[rows]))
     return "".join(parts)
 
 

@@ -125,6 +125,10 @@ class TestVerify:
             ["plot", identity_file, "--radii", "abc"],
             ["plot", identity_file, "--samples", "2000000000"],
             ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "0"],
+            ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "2000000000"],
+            ["verify", identity_file, "--grid", "0.001,0.99,1,100000000"],
+            ["verify", identity_file, "--grid", "0.001,0.99,1000000000,8"],
+            ["verify", identity_file, "--grid", "0.001,0.99,1,16777216"],
             ["verify", identity_file, "--eps", "nan"],
             ["verify", identity_file, "--eps", "inf"],
             ["construct", "f-epsilon", "--from", identity_file, "--eps", "nan"],

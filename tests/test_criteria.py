@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spiralmaps.construct import catalog, extremal_family, random_signed_map, random_sufficient_map
 from spiralmaps.criteria import (
+    MAX_EPS_SAMPLES,
     ClassFormError,
     HypothesisError,
     NearZeroError,
@@ -30,6 +31,7 @@ from spiralmaps.criteria import (
     spiral_inequality_sides,
     spiral_margin,
     sufficient_check,
+    unimodular_samples,
     weight_table,
 )
 from spiralmaps.harmonic import (
@@ -341,6 +343,13 @@ class TestGrowth:
 
 
 class TestEpsilonFamily:
+    def test_sample_cap(self):
+        assert unimodular_samples(MAX_EPS_SAMPLES).size == MAX_EPS_SAMPLES
+        with pytest.raises(ValueError):
+            unimodular_samples(MAX_EPS_SAMPLES + 1)
+        with pytest.raises(ValueError):
+            epsilon_starlike_check(identity_map(2), GridSpec(), n_eps=2_000_000_000)
+
     def test_identity(self):
         res = epsilon_starlike_check(identity_map(2), GridSpec(n_radii=4, n_angles=16), n_eps=8)
         assert abs(res.min_value - 1.0) < 1e-12 and res.passed

@@ -32,9 +32,11 @@ from spiralmaps.harmonic import (
     ScanResult,
     d_operator,
     eval_f,
+    field_rows,
     grid_points,
     identity_map,
     jacobian,
+    ring_fields,
     ring_values,
 )
 from spiralmaps.series import PowerSeries, pow_series
@@ -77,6 +79,31 @@ def test_fft_fields_agree_with_horner(n_angles, order, seed, scale):
         bound = 1e-12 * (np.abs(s.coeffs) * radii[:, None] ** np.arange(len(s))).sum(axis=1)
         err = np.abs(values.reshape(grid.n_radii, n_angles) - want).max(axis=1)
         assert np.all(err <= bound), (np.argmax(err / bound), err.max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(ANGLES, st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_mirrored_ring_spectra_agree_with_horner(n_angles, order, seed, scale):
+    # With orders up to 300 on 8 to 2048 angles, the +n terms and the
+    # conjugated -n terms both fold mod n_angles in some draws.
+    m = random_series_map(np.random.default_rng(seed), order, scale)
+    grid = GridSpec(n_radii=6, n_angles=n_angles)
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    spectrum = np.empty((3, radii.size, n_angles), dtype=np.complex128)
+    f, d, p = ring_fields(field_rows(m), radii, spectrum)  # f, Df/z, P/z
+    pts = grid_points(grid)
+    got = {"f": f, "Df": pts * d, "J": (p * np.conj(d)).real}
+    want = {"f": eval_f(m, pts), "Df": d_operator(m, pts), "J": jacobian(m, pts)}
+    n = np.arange(order + 1)
+    c = np.abs(m.h_coefficients()) + np.abs(m.g_coefficients())
+    weight = ((1 + n) * c * radii[:, None] ** n).sum(axis=1)
+    # J is quadratic in the coefficients: its scale is the square of
+    # sum n (|h_n| + |g_n|) r^(n-1), which bounds |h'| + |g'|.
+    deriv = (n[1:] * c[1:] * radii[:, None] ** n[:-1]).sum(axis=1)
+    bounds = {"f": 1e-12 * weight, "Df": 1e-12 * weight, "J": 1e-12 * deriv**2}
+    for key, values in got.items():
+        err = np.abs(values - want[key]).reshape(radii.size, n_angles).max(axis=1)
+        assert np.all(err <= bounds[key]), (key, np.argmax(err / bounds[key]), err.max())
 
 
 def full_array_scans(m, p, grid) -> dict:
@@ -169,6 +196,21 @@ def test_peak_memory_does_not_grow_with_the_radii():
         lambda: run_all_checks(m, p, small)
     )
     assert growth < 16 * BLOCK_POINTS, growth
+
+
+def test_dense_scan_peak_memory_is_a_few_block_arrays():
+    # Measured: 8.7 block arrays at orders 64 and 256 (five for the spectra,
+    # the points and the real scratch, three for the FFT output, the rest
+    # grid axes and power tables), against 13.2 before the scan kept one
+    # workspace and three spectra per block.
+    p = SpiralParams(math.pi / 4)
+    grid = GridSpec(n_radii=200, n_angles=2048)
+    block = 16 * BLOCK_POINTS  # bytes of one complex block array
+    for order in (64, 256):
+        m = random_sufficient_map(np.random.default_rng(7), p, order=order, n_terms=order // 2)
+        run_all_checks(m, p, grid)  # warm caches outside the measurement
+        peak = traced_peak(lambda: run_all_checks(m, p, grid))
+        assert peak < 10 * block, (order, peak / block)
 
 
 # ------------------------------------------------------- unimodular families

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spiralmaps.harmonic import (
+    MAX_ANGLES,
+    MAX_GRID_POINTS,
     DomainError,
     GridSpec,
     HarmonicMapSpec,
@@ -191,6 +193,15 @@ class TestGridSpecValidation:
             GridSpec(n_radii=0)
         with pytest.raises(ValueError):
             GridSpec(n_angles=4)
+
+    def test_point_cap(self):
+        GridSpec(n_radii=MAX_GRID_POINTS // 2048, n_angles=2048)
+        GridSpec(n_radii=1, n_angles=MAX_ANGLES)
+        for n_radii, n_angles in ((MAX_GRID_POINTS // 8 + 1, 8), (1, MAX_GRID_POINTS + 1),
+                                  (1_000_000_000, 8), (1, 100_000_000),
+                                  (1, MAX_ANGLES + 1), (1, 2**24)):
+            with pytest.raises(ValueError):
+                GridSpec(n_radii=n_radii, n_angles=n_angles)
 
     def test_bad_margin(self):
         for eps in (-1e-9, float("nan"), float("inf")):

@@ -8,7 +8,9 @@ import pytest
 from spiralmaps.construct import catalog
 from spiralmaps.criteria import SpiralParams
 from spiralmaps.harmonic import identity_map
+from spiralmaps.mapfile import format_number
 from spiralmaps.render import (
+    CSV_BLOCK_ROWS,
     MAX_PLOT_POINTS,
     PlotSpec,
     circle_image,
@@ -101,6 +103,21 @@ class TestCSV:
         assert float(first[1]) == 0.0
         assert float(first[2]) == 0.5
         assert float(first[3]) == 0.0
+
+    def test_row_blocks_match_per_number_rows(self):
+        # Two radii of two full row blocks and a partial one each.
+        m = catalog("f5", p=SpiralParams(math.pi / 3), alpha=0.9)
+        samples = 2 * CSV_BLOCK_ROWS + 5
+        spec = PlotSpec(radii=(0.5, 0.9), samples_per_circle=samples, fmt="csv")
+        thetas = 2.0 * np.pi * np.arange(samples) / samples
+        want = ["r,theta,re,im\n"]
+        for r in spec.radii:
+            w = circle_image(m, r, samples)
+            want += [
+                f"{format_number(r)},{format_number(t)},{format_number(x)},{format_number(y)}\n"
+                for t, x, y in zip(thetas, w.real, w.imag)
+            ]
+        assert render_csv(m, spec) == "".join(want)
 
     def test_deterministic(self):
         m = catalog("f5", p=SpiralParams(math.pi / 3), alpha=0.9)
