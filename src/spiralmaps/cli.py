@@ -53,6 +53,7 @@ from .mapfile import (
     parse_map_document,
 )
 from .render import DEFAULT_RADII, PlotSpec, render_csv, render_svg
+from .series import MAX_ORDER
 
 _USAGE_EXIT = 2
 _FAIL_EXIT = 1
@@ -134,6 +135,13 @@ def _parse_grid(text: str, eps: float) -> GridSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _order(n, what: str):
+    """An order or coefficient index from argv; above MAX_ORDER a usage error."""
+    if n is not None and n > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"{what} {n} exceeds the largest order {MAX_ORDER}")
+    return n
+
+
 def _parse_indexed(values, what: str, complex_ok: bool = True) -> dict[int, complex]:
     """Parse repeated ``n=re[,im]`` options into an index -> value dict."""
     out: dict[int, complex] = {}
@@ -178,6 +186,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    _order(args.n, "--n")
     try:
         p = SpiralParams(args.lam)
         wt = weight_table(p, args.n)
@@ -208,12 +217,13 @@ def _dict_to_tail(d: dict[int, complex], start: int, n_max: int, what: str) -> n
 
 def _cmd_construct(args) -> int:
     p = SpiralParams(args.lam) if args.lam is not None else None
+    _order(args.truncation, "--truncation")
     if args.builder == "extremal":
         if p is None:
             raise MapFileError("construct extremal needs --lambda")
         x = _parse_indexed(args.x, "--x")
         y = _parse_indexed(args.y, "--y")
-        n_max = max([args.truncation or 1] + list(x) + list(y))
+        n_max = _order(max([args.truncation or 1] + list(x) + list(y)), "index")
         m = extremal_family(
             _dict_to_tail(x, 2, n_max, "--x"),
             _dict_to_tail(y, 1, n_max, "--y"),
@@ -225,7 +235,7 @@ def _cmd_construct(args) -> int:
             raise MapFileError("construct combo needs --lambda")
         xw = _parse_indexed(args.X, "--X", complex_ok=False)
         yw = _parse_indexed(args.Y, "--Y", complex_ok=False)
-        n_max = max([args.truncation or 1] + list(xw) + list(yw))
+        n_max = _order(max([args.truncation or 1] + list(xw) + list(yw)), "index")
         X = _dict_to_tail(xw, 1, n_max, "--X").real
         Y = _dict_to_tail(yw, 1, n_max, "--Y").real
         slack = 1.0 - X.sum() - Y.sum()
@@ -326,7 +336,7 @@ def _cmd_catalog(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
     p = SpiralParams(lam)
     alpha = complex(args.alpha_re, args.alpha_im) if args.alpha_re is not None else None
-    m = catalog(name, p=p, alpha=alpha, order=args.truncation)
+    m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
     params: dict = {}
     if "alpha" in CATALOG_PARAMS[name]:
         params["alpha"] = (

@@ -185,7 +185,7 @@ def necessary_sharp_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> Check
 
 def _spiral_scan(field: GridField) -> ScanResult:
     absf = field.nonvanishing
-    if absf.min_value < field.grid.margin_eps:
+    if field.pointwise is None:
         raise NearZeroError(
             f"|f| = {absf.min_value:.3e} below margin {field.grid.margin_eps:.1e} "
             f"at z = {absf.witness}"
@@ -313,10 +313,11 @@ def unimodular_samples(n_eps: int) -> np.ndarray:
 
 def _merge_row_minima(best, at, which, values, z) -> None:
     # Row i of values belongs to member which[i]; a later block wins only when
-    # strictly smaller, so each member keeps its first minimiser.
+    # strictly smaller, or NaN where the best is not, so each member keeps its
+    # first minimiser as np.argmin over the whole grid would.
     k = np.argmin(values, axis=1)
     v = values[np.arange(k.size), k]
-    won = v < best[which]
+    won = ~((v >= best[which]) | np.isnan(best[which]))
     best[which[won]] = v[won]
     at[which[won]] = z[k[won]]
 
@@ -330,13 +331,14 @@ def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonS
     Chunks of eps times blocks of rings hold about ``BLOCK_POINTS`` values,
     and only per-eps running minima are kept, so memory grows with neither
     n_eps nor the grid.  Raises :class:`NearZeroError` naming eps and the
-    point for the first eps whose |den| dips below margin_eps, ``what``
+    point for the first eps whose |den| is not above margin_eps, ``what``
     naming the denominator; Re(num/den) is not formed for such an eps.  The
     witness is the first minimiser, eps-major, then radius-major.
     """
     n, margin = eps.size, grid.margin_eps
-    low, low_at = np.full(n, np.inf), np.zeros(n, dtype=np.complex128)
-    best, best_at = np.full(n, np.inf), np.zeros(n, dtype=np.complex128)
+    # inf at the first grid point is what a member reading inf everywhere has.
+    low, low_at = np.full(n, np.inf), np.full(n, complex(grid.r_min))
+    best, best_at = np.full(n, np.inf), np.full(n, complex(grid.r_min))
     chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
     for r, z in ring_blocks(grid, chunk):
         member = members(r, z)
@@ -348,7 +350,7 @@ def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonS
             if not clear.all():
                 which, den, num = which[clear], den[clear], num[clear]
             _merge_row_minima(best, best_at, which, np.real(num / den), z)
-    near = np.flatnonzero(low < margin)
+    near = np.flatnonzero(~(low >= margin))  # NaN included
     if near.size:
         k = near[0]
         raise NearZeroError(

@@ -13,25 +13,18 @@ at 0, and every criterion checked here quantifies over the punctured disk.
 Pass rule, eps = ``GridSpec.margin_eps``: the Jacobian and |f| pass when
 their minimum is > eps, spiral margins and unimodular-family minima when it
 is > -eps.  The witness is the first grid point, in radius-major order, that
-attains the minimum.
+attains the minimum, or the first NaN (which fails), as for ``np.argmin``.
 
-:class:`GridField` walks the grid in blocks of rings and evaluates the map
-once per point.  Closed forms, off-grid points and grids of at most
-``FFT_MIN_POINTS`` points go through the closed form or Horner
-(:meth:`PowerSeries.evaluate`) for h, g, h', g'; Horner is kept there only
-so that the default-grid reports stay byte-identical to the golden files.
-A series-backed map on a larger grid is evaluated ring by ring with three
-inverse FFTs per ring (:func:`ring_fields`): f, Df/z and P/z with P = z h' +
-conj(z g'), the conjugated terms folded in at negative indices.  On every
-ring they give f and Df to within 1e-12 * sum (1 + n)(|h_n| + |g_n|) r^n
-of Horner, and the Jacobian to within 1e-12 times the square of
-sum n (|h_n| + |g_n|) r^(n-1).  The scan writes into one workspace
-allocated when it starts; per block only the FFT's output, the power
-table and the fold temporaries are new.  Grids hold at most
-``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The unimodular-family scans
-(``criteria.family_scan``) evaluate series-backed members with the FFT on
-every grid, walking :func:`ring_blocks` so that each block of rings holds
-about ``BLOCK_POINTS`` values whatever the number of members.
+:class:`GridField` walks the grid in blocks of rings and feeds one scan
+kernel: a series-backed map through the FFT, a closed form directly.
+Horner (:meth:`PowerSeries.evaluate`) serves only points off the grid.  When
+n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
+angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
+6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
+at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The
+unimodular-family scans (``criteria.family_scan``) evaluate series-backed
+members with the FFT too, walking :func:`ring_blocks` so that each block of
+rings holds about ``BLOCK_POINTS`` values whatever the number of members.
 """
 
 from __future__ import annotations
@@ -46,11 +39,6 @@ from .series import DEFAULT_ORDER, PowerSeries
 
 #: Tolerance used when validating the sign-restricted coefficient shape.
 SIGN_SHAPE_TOL = 1e-12
-
-#: Grids with more points than this evaluate series-backed maps by FFT.  At
-#: or below it numpy elides no complex temporaries, so Horner gives stable
-#: bits; the FFT would move witnesses of rounding-level ties there.
-FFT_MIN_POINTS = 16384
 
 #: Points per block of rings in :class:`GridField` (at least one ring).
 BLOCK_POINTS = 16384
@@ -217,6 +205,8 @@ class GridSpec:
 def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    if grid.n_angles % 4 == 0:  # the axis points exactly, as the FFT has them
+        angles[:: grid.n_angles // 4] = [1, 1j, -1, -1j]
     return radii, angles
 
 
@@ -417,69 +407,73 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     return out.reshape(3, -1)
 
 
-def _running_min(best: Optional[ScanResult], block: ScanResult) -> ScanResult:
-    # A later block wins only when strictly smaller: the first minimiser stays.
-    return block if best is None or block.min_value < best.min_value else best
-
-
 class GridField:
     """The |f|, Jacobian, spiral quotient Re(phase Df/f) and two-modulus
     margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
 
     The rings are walked in blocks of about ``BLOCK_POINTS`` points and only
     the running minima are kept, so memory does not grow with ``n_radii``.
-    ``pointwise`` is None exactly when min |f| < margin_eps; the quotient is
-    not formed once |f| has dipped below it.
+    ``pointwise`` is None exactly when min |f| is not above margin_eps (NaN
+    included); the quotient is not formed once |f| has dipped below it.
 
-    Closed forms and grids of at most ``FFT_MIN_POINTS`` points evaluate h,
-    g, h', g' per block (closed form or Horner); the products run in place
-    and keep the operand order of the plain expressions, so such a grid
-    gives the bits of those expressions evaluated on the whole grid.
+    One kernel, :meth:`_scan`, takes f, phase Df and the Jacobian of a block
+    and merges the four minima; two producers feed it.  For a series-backed
+    map, :func:`ring_fields` gives f, Df/z and P/z, P = z h' + conj(z g'),
+    with three inverse FFTs per ring; the Jacobian is Re(P/z conj(Df/z)).
+    They match Horner to within 1e-12 * sum (1 + n)(|h_n| + |g_n|) r^n for
+    f and Df, and 1e-12 times the square of sum n (|h_n| + |g_n|) r^(n-1)
+    for the Jacobian.  The spectra and real scratch live in one workspace
+    allocated when the scan starts; per block only the FFT's output, the
+    power table and the fold temporaries are new, the last up to
+    3 R min(N + 1, n_angles) values for R rings and order N.
 
-    A series-backed map on a larger grid is evaluated by :func:`ring_fields`:
-    three inverse FFTs per ring give f, Df/z and P/z, where P = z h' +
-    conj(z g'); the Jacobian is Re(P/z conj(Df/z)) and Df is z (Df/z).  One
-    workspace, allocated at block size when the scan starts, holds the
-    three spectra and two real scratch arrays, the block's points come from
-    the buffer of :func:`ring_blocks`, and every ufunc of the scan writes
-    into them.  Per block only the inverse FFT's output (whose P/z row is
-    the complex scratch once the Jacobian is formed), the power table and
-    the fold temporaries are new; the last hold up to 3 * R * min(N + 1,
-    n_angles) values for R rings and order N, so at orders of n_angles or
-    more they are as large as the spectra."""
+    A closed form is evaluated per block from h, g, h', g'; its products run
+    in place and keep the operand order of the plain expressions, so the
+    block gives the bits of those expressions evaluated on the whole grid."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
         self.phase = phase
         self.nonvanishing = self.sense_preserving = self.pointwise = self.margin = None
-        if m.closed_form is None and grid.n_radii * grid.n_angles > FFT_MIN_POINTS:
+        if m.closed_form is None:
             self._scan_rings(field_rows(m))
         else:
             for _, z in ring_blocks(grid):
-                self._scan_block(m, z)
-        if self.nonvanishing.min_value < grid.margin_eps:
-            self.pointwise = None
+                self._scan_closed_form(m, z)
 
     def _merge(self, name: str, values, z, threshold: float) -> None:
-        block = ScanResult.minimum(values, z, threshold)
-        setattr(self, name, _running_min(getattr(self, name), block))
+        # A later block wins only when strictly smaller, or NaN where the best
+        # is not, so the result is ScanResult.minimum over the whole grid.
+        best, block = getattr(self, name), ScanResult.minimum(values, z, threshold)
+        if best is None or not (block.min_value >= best.min_value or math.isnan(best.min_value)):
+            setattr(self, name, block)
 
-    def _scan_block(self, m, z):
-        # h and g are dropped before h' and g' exist; the evaluators are
-        # module names looked up per call, so wrappers set on the module see
-        # each call.
+    def _scan(self, z, f, rot_df, jac, c, b):
+        # f, phase Df and the Jacobian on the points z.  Once merged, jac is
+        # real scratch, as are the complex c and the real b.
         eps = self.grid.margin_eps
+        self._merge("sense_preserving", jac, z, eps)
+        a = np.abs(f, out=jac)
+        self._merge("nonvanishing", a, z, eps)
+        if self.nonvanishing.min_value >= eps:
+            self._merge("pointwise", np.divide(rot_df, f, out=c).real, z, -eps)
+        else:
+            self.pointwise = None
+        np.abs(np.add(f, rot_df, out=c), out=a)
+        np.abs(np.subtract(f, rot_df, out=c), out=b)
+        self._merge("margin", np.subtract(a, b, out=a), z, -eps)
+
+    def _scan_closed_form(self, m, z):
+        # The evaluators are module names looked up per call, so wrappers set
+        # on the module see each call.
         f = h_values(m, z) + np.conj(g_values(m, z))
-        self._merge("nonvanishing", np.abs(f), z, eps)
         dh, dg = dh_values(m, z), dg_values(m, z)
-        self._merge("sense_preserving", np.abs(dh) ** 2 - np.abs(dg) ** 2, z, eps)
+        jac, b = np.abs(dh) ** 2, np.abs(dg) ** 2
+        np.subtract(jac, b, out=jac)
         np.multiply(z, dh, out=dh)
         np.multiply(z, dg, out=dg)
         np.subtract(dh, np.conj(dg, out=dg), out=dh)
-        rot_df = np.multiply(self.phase, dh, out=dh)
-        if self.nonvanishing.min_value >= eps:
-            self._merge("pointwise", np.real(rot_df / f), z, -eps)
-        self._merge("margin", np.abs(f + rot_df) - np.abs(f - rot_df), z, -eps)
+        self._scan(z, f, np.multiply(self.phase, dh, out=dh), jac, dg, b)
 
     def _scan_rings(self, rows):
         n_angles = self.grid.n_angles
@@ -487,25 +481,14 @@ class GridField:
         spectrum = np.empty(3 * size, dtype=np.complex128)
         scratch = np.empty((2, size))
         for r, z in ring_blocks(self.grid):
-            # The FFT's output is an argument only, so it is freed before
-            # the next block's is allocated.
             spec = spectrum[: 3 * z.size].reshape(3, r.size, n_angles)
-            self._scan_fields(z, *ring_fields(rows, r, spec), *scratch[:, : z.size])
-
-    def _scan_fields(self, z, f, d, p, a, b):
-        # f, Df/z and P/z on the points z; d and p are overwritten, and a, b
-        # are real scratch.
-        eps = self.grid.margin_eps
-        self._merge("nonvanishing", np.abs(f, out=a), z, eps)
-        np.multiply(p.real, d.real, out=a)
-        np.add(a, np.multiply(p.imag, d.imag, out=b), out=a)
-        self._merge("sense_preserving", a, z, eps)
-        rot_df = np.multiply(self.phase, np.multiply(z, d, out=d), out=d)
-        if self.nonvanishing.min_value >= eps:
-            self._merge("pointwise", np.divide(rot_df, f, out=p).real, z, -eps)
-        np.abs(np.add(f, rot_df, out=p), out=a)
-        np.abs(np.subtract(f, rot_df, out=p), out=b)
-        self._merge("margin", np.subtract(a, b, out=a), z, -eps)
+            f, d, p = ring_fields(rows, r, spec)  # f, Df/z, P/z
+            a, b = scratch[:, : z.size]
+            np.multiply(p.real, d.real, out=a)  # J = Re(P/z conj(Df/z))
+            np.add(a, np.multiply(p.imag, d.imag, out=b), out=a)
+            np.multiply(self.phase, np.multiply(z, d, out=d), out=d)  # phase Df
+            self._scan(z, f, d, a, p, b)
+            del f, d, p  # free the FFT's output before the next block's exists
 
 
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:

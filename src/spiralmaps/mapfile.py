@@ -3,7 +3,7 @@
 A map file is a single JSON document with the fields
 
     lambda       spiral angle in radians (real, |lambda| < pi/2)
-    truncation   truncation order N (integer >= 1)
+    truncation   truncation order N (integer, 1..MAX_ORDER)
     signed_form  boolean class-shape assertion
     a            list of [re, im] pairs for indices n = 2..
     b            list of [re, im] pairs for indices n = 1..
@@ -32,6 +32,7 @@ import numpy as np
 from .construct import CATALOG_PARAMS, catalog
 from .criteria import SpiralParams
 from .harmonic import HarmonicMapSpec
+from .series import MAX_ORDER
 
 
 class MapFileError(ValueError):
@@ -127,8 +128,8 @@ def parse_map_document(text: str) -> MapDocument:
     if not abs(lam) < math.pi / 2:
         raise MapFileError("field 'lambda' must satisfy |lambda| < pi/2")
     trunc = raw.get("truncation")
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
-        raise MapFileError("field 'truncation' must be an integer >= 1")
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or not 1 <= trunc <= MAX_ORDER:
+        raise MapFileError(f"field 'truncation' must be an integer in 1..{MAX_ORDER}")
     signed = raw.get("signed_form", False)
     if not isinstance(signed, bool):
         raise MapFileError("field 'signed_form' must be a boolean")

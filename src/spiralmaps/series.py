@@ -19,6 +19,10 @@ import numpy as np
 #: Default truncation order for constructors that do not receive one.
 DEFAULT_ORDER = 64
 
+#: Cap on a truncation order read from the command line or a map file: 8x the
+#: largest order the tests and benchmark use (512).
+MAX_ORDER = 4096
+
 #: Tolerance for the constant-term preconditions of log/exp/pow.
 NORMALIZATION_TOL = 1e-12
 

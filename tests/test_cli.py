@@ -113,7 +113,9 @@ class TestVerify:
         rc, _, err = run_cli(["verify", "/nonexistent.json"], capsys)
         assert rc == 2
 
-    def test_exit_code_matches_report(self, f1_file, f2_file, identity_file, capsys):
+    def test_exit_code_matches_report(self, f1_file, f2_file, identity_file, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"lambda": 0.3, "truncation": 100000000000, "a": [], "b": []}')
         for path, expected in ((f1_file, 1), (f2_file, 0), (identity_file, 0)):
             rc, out, _ = run_cli(["verify", path], capsys)
             rep = parse_report(out)
@@ -133,6 +135,11 @@ class TestVerify:
             ["verify", identity_file, "--eps", "inf"],
             ["construct", "f-epsilon", "--from", identity_file, "--eps", "nan"],
             ["construct", "f-epsilon", "--from", identity_file, "--eps", "inf"],
+            ["weights", "--lambda", "0.3", "--n", "100000000000"],
+            ["verify", str(huge)],
+            ["catalog", "emit", "koebe", "--truncation", "100000000000"],
+            ["construct", "power-transform", "--lambda", "0.3", "--truncation", "100000000000"],
+            ["construct", "extremal", "--lambda", "0.3", "--x", "100000000000=0.1"],
         ):
             rc, out, err = run_cli(argv, capsys)
             assert rc == 2, argv

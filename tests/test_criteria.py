@@ -42,6 +42,7 @@ from spiralmaps.harmonic import (
     eval_f,
     identity_map,
 )
+from spiralmaps.series import PowerSeries
 
 PI4 = SpiralParams(math.pi / 4)
 
@@ -424,17 +425,29 @@ class TestReport:
 
         grid = GridSpec(n_radii=6, n_angles=32)
         calls = {}
-        for name in ("h_values", "g_values", "dh_values", "dg_values"):
-            def counted(m, z, _name=name, _fn=getattr(harmonic_mod, name)):
+
+        def count(name, fn):
+            def counted(obj, z):
                 if np.size(z) == grid.n_radii * grid.n_angles:
-                    calls[_name] = calls.get(_name, 0) + 1
-                return _fn(m, z)
+                    calls[name] = calls.get(name, 0) + 1
+                return fn(obj, z)
+            return counted
+
+        for name in ("h_values", "g_values", "dh_values", "dg_values"):
+            counted = count(name, getattr(harmonic_mod, name))
             monkeypatch.setattr(harmonic_mod, name, counted)
             monkeypatch.setattr(criteria_mod, name, counted)
+        monkeypatch.setattr(PowerSeries, "evaluate", count("horner", PowerSeries.evaluate))
+        m = catalog("koebe")
+        assert m.closed_form is not None
+        run_all_checks(m, PI4, grid)
+        assert calls == {"h_values": 1, "g_values": 1, "dh_values": 1, "dg_values": 1}
+        # A series-backed map goes through the FFT: no Horner on the grid.
+        calls.clear()
         m = random_sufficient_map(rng, PI4, order=16, n_terms=8)
         assert m.closed_form is None
         run_all_checks(m, PI4, grid)
-        assert calls == {"h_values": 1, "g_values": 1, "dh_values": 1, "dg_values": 1}
+        assert calls == {}
 
     def test_near_zero_map_report(self):
         rep = run_all_checks(

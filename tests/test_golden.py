@@ -38,7 +38,7 @@ import pytest
 from spiralmaps.cli import main
 from spiralmaps.construct import catalog_names, random_signed_map
 from spiralmaps.criteria import SpiralParams, run_all_checks
-from spiralmaps.harmonic import GridSpec
+from spiralmaps.harmonic import GridSpec, d_operator, dg_values, dh_values, eval_f, jacobian
 from spiralmaps.mapfile import (
     MapDocument,
     document_from_map,
@@ -188,6 +188,35 @@ def _assert_same_bytes(filename: str, produced: str) -> None:
 
 def test_verify_catalog_default_grid(tmp_path):
     _assert_same_bytes("verify_catalog.txt", verify_text(str(tmp_path)))
+
+
+def _horner_at(m, p, z, key: str) -> tuple[float, float]:
+    """A scanned quantity at z by the plain expressions, and the magnitude of
+    the terms it comes from."""
+    f, rot_df = eval_f(m, z), p.phase * d_operator(m, z)
+    if key == "sense_preserving":
+        return jacobian(m, z), abs(dh_values(m, z)) ** 2 + abs(dg_values(m, z)) ** 2
+    if key == "nonvanishing":
+        return abs(f), abs(f)
+    if key == "pointwise":
+        return (rot_df / f).real, abs(rot_df / f)
+    return abs(f + rot_df) - abs(f - rot_df), abs(f) + abs(rot_df)
+
+
+def test_catalog_minima_are_the_values_at_their_witnesses(tmp_path):
+    # The FFT evaluates at the exact angles 2 pi j / n: without exact axis
+    # points f7 at lambda 0 (f = 2 Re z) reports |f| = 0 at a witness where
+    # the expression reads 1e-19.
+    for name in catalog_names():
+        for lam in LAMBDAS:
+            m, p = load_map_file(_map_file(str(tmp_path), name, lam))
+            report = run_all_checks(m, p, GridSpec())
+            for key in ("sense_preserving", "nonvanishing", "pointwise", "margin"):
+                res = getattr(report, key)
+                if res is None:
+                    continue
+                value, scale = _horner_at(m, p, res.witness, key)
+                assert abs(res.min_value - value) <= 1e-9 * scale, (name, lam, key)
 
 
 def test_construct_power_transform(tmp_path):

@@ -20,13 +20,14 @@ from spiralmaps.criteria import (
     NearZeroError,
     SpiralParams,
     epsilon_starlike_check,
+    family_scan,
     run_all_checks,
     spiral_margin,
 )
 from spiralmaps.harmonic import (
     BLOCK_POINTS,
-    FFT_MIN_POINTS,
     ClosedForm,
+    GridField,
     GridSpec,
     HarmonicMapSpec,
     ScanResult,
@@ -47,9 +48,9 @@ ANGLES = st.sampled_from([8, 24, 64, 2048])
 
 
 def dense_grid(n_angles: int, extra_radii: int = 0) -> GridSpec:
-    """The smallest grid with n_angles angles above the FFT cutoff, plus extra radii."""
-    grid = GridSpec(n_radii=FFT_MIN_POINTS // n_angles + 1 + extra_radii, n_angles=n_angles)
-    assert grid.n_radii * grid.n_angles > FFT_MIN_POINTS
+    """The smallest grid with n_angles angles above one block, plus extra radii."""
+    grid = GridSpec(n_radii=BLOCK_POINTS // n_angles + 1 + extra_radii, n_angles=n_angles)
+    assert grid.n_radii * grid.n_angles > BLOCK_POINTS
     return grid
 
 
@@ -170,6 +171,25 @@ def test_exact_ties_across_blocks_keep_the_first_point():
     report = run_all_checks(identity_map(8), SpiralParams(0.0), grid)
     assert report.sense_preserving.min_value == 1.0
     assert report.sense_preserving.witness == complex(grid.r_min)
+
+
+def test_nan_minima_win_across_blocks():
+    # J overflows to NaN at most points: on one block and on 25 the scan
+    # reports the first NaN, as ScanResult.minimum over the whole grid does.
+    a, b = np.zeros(49), np.zeros(50)
+    a[-1], b[-1] = 1e200, 0.5e200
+    m = HarmonicMapSpec(a=a, b=b, truncation_order=50)
+    for grid in (GridSpec(), GridSpec(n_radii=200, n_angles=2048)):
+        radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+        with np.errstate(all="ignore"):
+            spectrum = np.empty((3, grid.n_radii, grid.n_angles), dtype=np.complex128)
+            f, d, p = ring_fields(field_rows(m), radii, spectrum)
+            jac = p.real * d.real + p.imag * d.imag
+            got = GridField(m, grid).sense_preserving
+        want = ScanResult.minimum(jac, grid_points(grid), grid.margin_eps)
+        assert math.isnan(want.min_value)
+        assert math.isnan(got.min_value) and not got.passed
+        assert got.witness == want.witness
 
 
 def traced_peak(run) -> int:
@@ -399,6 +419,22 @@ def test_eps_near_zero_error_matches_the_per_eps_loop():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert raised(lambda: epsilon_starlike_check(m, PARITY_GRID, n_eps=4)) == want
+
+
+def test_family_nan_values_are_not_skipped_into_a_pass():
+    # Re(num/den) is NaN everywhere: the first point and eps, and a failure.
+    m = HarmonicMapSpec(a=[1e308], b=[0.5], truncation_order=2)
+    with np.errstate(all="ignore"):
+        res = epsilon_starlike_check(m, GridSpec(), 8)
+    assert math.isnan(res.min_value) and not res.passed
+    assert (res.witness, res.witness_eps) == (grid_points(GridSpec())[0], 1 + 0j)
+    # A NaN |den| is no clearance: it is reported, not dropped.
+    grid = GridSpec(n_radii=3, n_angles=8)
+    eps = np.array([1, -1], dtype=np.complex128)
+    den = np.ones((2, 24), dtype=np.complex128)  # one block of 3 rings
+    den[1, 5] = np.nan
+    with pytest.raises(NearZeroError, match=r"\|den\| = nan .* eps = \(-1"):
+        family_scan(lambda r, z: lambda k: (den[k], den[k]), grid, eps, "den")
 
 
 def test_exact_family_ties_keep_the_first_eps():
