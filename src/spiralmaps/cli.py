@@ -191,8 +191,7 @@ def _cmd_weights(args) -> int:
         p = SpiralParams(args.lam)
         wt = weight_table(p, args.n)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     print(f"lambda = {format_number(p.lam)}")
     print(f"B = {format_number(wt.B)}")
     print("n A_n A_n_over_B n_B_over_A_n")

@@ -25,7 +25,6 @@ from .harmonic import (
     ClosedForm,
     GridSpec,
     HarmonicMapSpec,
-    grid_points,
     identity_map,
     ring_blocks,
     ring_values,
@@ -300,12 +299,14 @@ def _orientation_probe(g: PowerSeries) -> None:
     # Probing through the input stays well conditioned even when the output
     # coefficients do not decay.  Coarse 8x32 scan capped at r = 0.7, where
     # a 64-term truncation with polynomially growing coefficients is still
-    # converged; only the sign matters.
-    pts = grid_points(GridSpec(n_radii=8, n_angles=32, r_max=0.7))
-    gv = g.evaluate(pts)
-    dv = g.differentiate().evaluate(pts)
+    # converged; only the sign matters.  One FFT per ring gives g and z g' on
+    # the grid's points, radius-major, axis points exact.
+    grid = GridSpec(n_radii=8, n_angles=32, r_max=0.7)
+    c = g.coeffs
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    gv, zdg = ring_values(np.stack([c, np.arange(c.size) * c]), radii, grid.n_angles)
     good = np.abs(gv) > 1e-12
-    margins = np.real(pts[good] * dv[good] / gv[good])
+    margins = np.real(zdg[good] / gv[good])
     if margins.size and margins.min() <= 0.0:
         warnings.warn(
             "power-transform output fails its spiral inequality on the probe grid "

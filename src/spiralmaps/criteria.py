@@ -322,6 +322,31 @@ def _merge_row_minima(best, at, which, values, z) -> None:
     at[which[won]] = z[k[won]]
 
 
+def _family_minima(n: int, grid: GridSpec):
+    """Running minima of |den| and of Re(num/den) for n members, with their
+    points; inf at the first grid point is what a member reading inf
+    everywhere has."""
+    start = complex(grid.r_min)
+    return np.full(n, np.inf), np.full(n, start), np.full(n, np.inf), np.full(n, start)
+
+
+def _family_result(low, low_at, best, best_at, eps, margin: float, what: str):
+    """The scan's outcome from its running minima: :class:`NearZeroError` for
+    the first eps whose |den| is not above ``margin`` (NaN included), else the
+    minimum over the family, first minimiser eps-major."""
+    near = np.flatnonzero(~(low >= margin))
+    if near.size:
+        k = near[0]
+        raise NearZeroError(
+            f"|{what}| = {low[k]:.3e} below margin at eps = {complex(eps[k])}, "
+            f"z = {complex(low_at[k])}"
+        )
+    k = int(np.argmin(best))
+    return EpsilonScanResult(
+        float(best[k]), complex(best_at[k]), complex(eps[k]), bool(best[k] > -margin)
+    )
+
+
 def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
     """Minimum of Re(num/den) over the unimodular samples ``eps`` and the grid.
 
@@ -336,9 +361,7 @@ def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonS
     witness is the first minimiser, eps-major, then radius-major.
     """
     n, margin = eps.size, grid.margin_eps
-    # inf at the first grid point is what a member reading inf everywhere has.
-    low, low_at = np.full(n, np.inf), np.full(n, complex(grid.r_min))
-    best, best_at = np.full(n, np.inf), np.full(n, complex(grid.r_min))
+    low, low_at, best, best_at = _family_minima(n, grid)
     chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
     for r, z in ring_blocks(grid, chunk):
         member = members(r, z)
@@ -350,17 +373,26 @@ def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonS
             if not clear.all():
                 which, den, num = which[clear], den[clear], num[clear]
             _merge_row_minima(best, best_at, which, np.real(num / den), z)
-    near = np.flatnonzero(~(low >= margin))  # NaN included
-    if near.size:
-        k = near[0]
-        raise NearZeroError(
-            f"|{what}| = {low[k]:.3e} below margin at eps = {complex(eps[k])}, "
-            f"z = {complex(low_at[k])}"
-        )
-    k = int(np.argmin(best))
-    return EpsilonScanResult(
-        float(best[k]), complex(best_at[k]), complex(eps[k]), bool(best[k] > -margin)
-    )
+    return _family_result(low, low_at, best, best_at, eps, margin, what)
+
+
+#: Rounding allowance of the Mobius bounds, relative to the size of what they
+#: bound: about 4,500 ulps, where each bound and each sampled member carries a
+#: few dozen.
+_BOUND_ROUNDING = 1e-12
+
+
+def _merge_members(best, at, eps, values, z) -> None:
+    """Merge ``values(e)``, the values of the members ``e`` (a column of eps)
+    on the points ``z``, into the running minima, in chunks of eps of about
+    ``BLOCK_POINTS`` values."""
+    if not z.size:
+        return
+    n = eps.size
+    chunk = min(n, max(1, BLOCK_POINTS // z.size))
+    for k in range(0, n, chunk):
+        which = np.arange(k, min(k + chunk, n))
+        _merge_row_minima(best, at, which, values(eps[k : k + chunk, None]), z)
 
 
 def epsilon_starlike_check(
@@ -369,27 +401,92 @@ def epsilon_starlike_check(
     """Starlikeness margins of the analytic family h + eps*g over |eps| = 1.
 
     Samples n_eps equally spaced unimodular eps and returns the minimum of
-    Re(z (h + eps g)' / (h + eps g)) over the family and the grid.  The
-    family quantifier is sampled, so a positive result is heuristic while a
-    negative one is a genuine refutation.  A series-backed map is evaluated
-    ring by ring with the FFT (:func:`ring_values`), a closed form per block.
+    Re(z (h + eps g)' / (h + eps g)) over the family and the grid, or raises
+    :class:`NearZeroError` for the first eps whose |h + eps g| is not above
+    margin_eps, as :func:`family_scan` does.  The family quantifier is
+    sampled, so a positive result is heuristic while a negative one is a
+    genuine refutation.  A series-backed map is evaluated ring by ring with
+    the FFT (:func:`ring_values`), a closed form per block of rings.
+
+    With A = z h', B = z g', C = h and D = g at a point, the member quotient
+    w(eps) = (A + eps B)/(C + eps D) is a Mobius map of eps, which sends
+    |eps| = 1 to the circle with centre (A conj C - B conj D)/(|C|^2 - |D|^2)
+    and radius |AD - BC| / ||C|^2 - |D|^2|.  So every sampled value is at least
+    Re(centre) - radius, and every |C + eps D| at least ||C| - |D||.  The scan
+    evaluates the sampled members only where these bounds, less a rounding
+    allowance, do not clear margin_eps and the smallest value found so far
+    (the value at the smallest bound of each block first); a non-finite bound
+    makes a point a candidate.  No other point can hold the minimum, a tie
+    with it, a NaN or a near-zero member, so the result is that of the full
+    sampled scan bit for bit.  A constant quotient ties everywhere, and there
+    the scan evaluates every point, in chunks of about ``BLOCK_POINTS`` values.
     """
     eps = unimodular_samples(n_eps)
+    minima = _family_minima(n_eps, grid)
     rows = None
     if m.closed_form is None:
         h, g = m.h_coefficients(), m.g_coefficients()
         n = np.arange(h.size)
         rows = np.stack([h, g, n * h, n * g])  # h, g, z h', z g'
 
-    def members(r, z):
+    def values(r, z):
         if rows is None:
-            hv, gv = h_values(m, z), g_values(m, z)
-            zdh, zdg = z * dh_values(m, z), z * dg_values(m, z)
-        else:
-            hv, gv, zdh, zdg = ring_values(rows, r, grid.n_angles)
-        return lambda k: (hv + eps[k, None] * gv, zdh + eps[k, None] * zdg)
+            return h_values(m, z), g_values(m, z), z * dh_values(m, z), z * dg_values(m, z)
+        return ring_values(rows, r, grid.n_angles)
 
-    return family_scan(members, grid, eps, "h + eps g")
+    # Blocks of at most BLOCK_POINTS // 2 points: numpy computes an operator
+    # whose operand is a temporary of 256 KiB (BLOCK_POINTS complex values) or
+    # more in place, swapping the operands of a product, and a complex product
+    # rounds differently then.  So a closed form gives the bits it gives on
+    # one ring (of fewer than BLOCK_POINTS angles) on every grid.
+    for r, z in ring_blocks(grid, 2):
+        # The block's values die with the call, before the next block's exist.
+        _eps_block(minima, eps, grid.margin_eps, z, *values(r, z))
+    return _family_result(*minima, eps, grid.margin_eps, "h + eps g")
+
+
+def _eps_block(minima, eps, margin: float, z, hv, gv, zdh, zdg) -> None:
+    """Merge one block of rings into the running minima of
+    :func:`epsilon_starlike_check`, evaluating members only at the points
+    its bounds leave."""
+    low, low_at, best, best_at = minima
+    with np.errstate(all="ignore"):
+        ah, ag = np.abs(hv), np.abs(gv)
+        near = ~(np.abs(ah - ag) - margin > _BOUND_ROUNDING * (ah + ag))
+    i = np.flatnonzero(near)
+    hi, gi = hv[i], gv[i]
+    _merge_members(low, low_at, eps, lambda e: np.abs(hi + e * gi), z[i])
+    if not (low >= margin).all():
+        return  # the scan ends in NearZeroError; no quotient is needed
+    bound = _quotient_bound(zdh, zdg, hv, gv, ah, ag)
+
+    def quotients(i):
+        hi, gi, dhi, dgi = hv[i], gv[i], zdh[i], zdg[i]
+        return lambda e: np.real((dhi + e * dgi) / (hi + e * gi))
+
+    probe = quotients([int(np.argmin(np.fmin(bound, np.inf)))])(eps[:, None])
+    top = np.minimum(best.min(), probe.min())  # a value some member attains
+    # The near points too: with margin_eps = 0 a sampled member may vanish
+    # there, and its quotient obeys no bound.
+    i = np.flatnonzero(near | ~(bound > top))
+    _merge_members(best, best_at, eps, quotients(i), z[i])
+
+
+def _quotient_bound(A, B, C, D, aC, aD) -> np.ndarray:
+    """Re(centre) - radius of the circle that (A + eps B)/(C + eps D) traces
+    over |eps| = 1, less the rounding allowance: at most every computed
+    sampled value.  The allowance is relative to |centre| + radius and grows
+    with (|C|^2 + |D|^2)/||C|^2 - |D|^2|, which a member's rounding does near
+    its pole, so a point where |C|^2 - |D|^2 has cancelled most of its digits
+    keeps no useful bound, and one where it vanishes gets -inf or NaN."""
+    with np.errstate(all="ignore"):
+        sq, dq = aC * aC, aD * aD
+        det = sq - dq
+        adet = np.abs(det)
+        centre = A * np.conj(C) - B * np.conj(D)  # times det
+        radius = np.abs(A * D - B * C) / adet
+        size = np.abs(centre) / adet + radius
+        return centre.real / det - radius - _BOUND_ROUNDING * size * ((sq + dq) / adet)
 
 
 def axis_profile(m: HarmonicMapSpec, r):

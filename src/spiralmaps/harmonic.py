@@ -22,9 +22,12 @@ n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
 at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The
-unimodular-family scans (``criteria.family_scan``) evaluate series-backed
-members with the FFT too, walking :func:`ring_blocks` so that each block of
-rings holds about ``BLOCK_POINTS`` values whatever the number of members.
+unimodular-family scans (``criteria.family_scan`` and
+``criteria.epsilon_starlike_check``) evaluate series-backed members with the
+FFT too, walking :func:`ring_blocks` so that each block of rings holds about
+``BLOCK_POINTS`` values whatever the number of members; the eps scan of
+h + eps g evaluates its members only at the points that its Mobius bounds
+leave in play.
 """
 
 from __future__ import annotations

@@ -256,18 +256,42 @@ def pow_rows(rows, mu) -> np.ndarray:
     return _exp(_exponent(mu) * _log(np.asarray(rows, dtype=np.complex128)))
 
 
+#: Coefficients per block of the triangular solve in :func:`divide`.
+_DIVIDE_BLOCK = 64
+
+
 def divide(s: PowerSeries, t: PowerSeries) -> PowerSeries:
-    """Series quotient s / t; the divisor needs a nonzero constant term."""
+    """Series quotient s / t; the divisor needs a nonzero constant term.
+
+    q = s / t solves T(t) q = s, with T(t) the lower-triangular Toeplitz
+    matrix of t.  The solve runs in blocks of 64 coefficients: 1/t is
+    computed to 64 terms once, coefficient by coefficient; each block of q
+    then subtracts the share of the earlier coefficients with one
+    matrix-vector product against sliding windows of t, and applies the
+    triangular Toeplitz matrix of 1/t, which inverts the block's own part of
+    T(t).  The products sum in another order than a coefficient-by-
+    coefficient solve, so the two agree to rounding, not bit for bit.
+    """
     n = min(s.order, t.order)
-    sc, tc = s.coeffs, t.coeffs
+    sc, tc = s.coeffs[: n + 1], t.coeffs[: n + 1]
     if abs(tc[0]) <= NORMALIZATION_TOL:
         raise ZeroDivisionError("series division by a series with ~0 constant term")
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for k in range(n + 1):
-        acc = sc[k]
+    size = min(_DIVIDE_BLOCK, n + 1)
+    inv = np.zeros(size, dtype=np.complex128)  # 1/t to ``size`` terms
+    inv[0] = 1.0 / tc[0]
+    for k in range(1, size):
+        inv[k] = -np.dot(inv[:k], tc[k:0:-1]) / tc[0]
+    j = np.arange(size)
+    solve = np.tril(inv[j[:, None] - j])  # solve[i, j] = inv[i - j]
+    out = np.empty(n + 1, dtype=np.complex128)
+    for k in range(0, n + 1, size):
+        b = min(size, n + 1 - k)
+        rhs = sc[k : k + b]
         if k:
-            acc = acc - np.dot(out[:k], tc[k:0:-1])
-        out[k] = acc / tc[0]
+            # Row k + i of T(t) meets q[k - 1], ..., q[0] with t[i + 1 : i + 1 + k].
+            windows = np.lib.stride_tricks.sliding_window_view(tc, k)[1 : b + 1]
+            rhs = rhs - windows @ out[k - 1 :: -1]
+        out[k : k + b] = solve[:b, :b] @ rhs
     return PowerSeries(out)
 
 

@@ -166,9 +166,11 @@ class TestWeights:
         assert abs(float(row2[1]) - 4.2715584) < 1e-6
 
     def test_out_of_range_is_usage_error(self, capsys):
-        rc, _, err = run_cli(["weights", "--lambda", "1.6", "--n", "4"], capsys)
-        assert rc == 2
-        assert "usage error" in err
+        # A bad --lambda or --n 0 gets the prefix of every other usage error.
+        for argv in (["--lambda", "1.6", "--n", "4"], ["--lambda", "0.5", "--n", "0"]):
+            rc, _, err = run_cli(["weights", *argv], capsys)
+            assert rc == 2
+            assert err.startswith("error: ")
 
 
 class TestConstruct:

@@ -12,17 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from spiralmaps.construct import (
     ConstraintError,
+    catalog,
     random_sufficient_map,
     transform_exponent,
     transform_family_check,
 )
 from spiralmaps.criteria import (
+    EpsilonScanResult,
     NearZeroError,
     SpiralParams,
     epsilon_starlike_check,
     family_scan,
     run_all_checks,
     spiral_margin,
+    unimodular_samples,
 )
 from spiralmaps.harmonic import (
     BLOCK_POINTS,
@@ -476,3 +479,131 @@ def test_family_peak_memory_is_flat_in_eps_and_radii():
         check(small, 8)  # warm caches outside the measurement
         growth = traced_peak(lambda: check(large, 64)) - traced_peak(lambda: check(small, 8))
         assert growth < 16 * BLOCK_POINTS, growth
+
+
+# ------------------------------------------------- the pruned eps-family scan
+#
+# epsilon_starlike_check evaluates members only where its Mobius bounds leave
+# a point in play.  The reference below evaluates every (eps, point) pair with
+# the scan's own arithmetic, so the two must agree bit for bit.
+
+
+def every_pair_eps_check(m: HarmonicMapSpec, grid: GridSpec, n_eps: int) -> EpsilonScanResult:
+    """epsilon_starlike_check from the values of every member at every point:
+    ring_values rows or a closed form, then (zdh + eps zdg)/(h + eps g)."""
+    eps = unimodular_samples(n_eps)[:, None]
+    pts = grid_points(grid)
+    if m.closed_form is None:
+        h, g = m.h_coefficients(), m.g_coefficients()
+        n = np.arange(h.size)
+        radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+        hv, gv, zdh, zdg = ring_values(np.stack([h, g, n * h, n * g]), radii, grid.n_angles)
+    else:  # ring by ring, as the scan's blocks give the same bits
+        cf = m.closed_form
+        rings = pts.reshape(grid.n_radii, grid.n_angles)
+        hv, gv, zdh, zdg = (
+            np.concatenate([f(z) for z in rings])
+            for f in (cf.h, cf.g, lambda z: z * cf.dh(z), lambda z: z * cf.dg(z))
+        )
+    den = hv + eps * gv
+    low = np.abs(den)
+    for k, i in enumerate(np.argmin(low, axis=1)):
+        if not low[k, i] >= grid.margin_eps:
+            raise NearZeroError(
+                f"|h + eps g| = {low[k, i]:.3e} below margin at eps = {complex(eps[k, 0])}, "
+                f"z = {complex(pts[i])}"
+            )
+    q = np.real((zdh + eps * zdg) / den)
+    at = np.argmin(q, axis=1)
+    best = q[np.arange(n_eps), at]
+    k = int(np.argmin(best))
+    return EpsilonScanResult(
+        float(best[k]), complex(pts[at[k]]), complex(eps[k, 0]), bool(best[k] > -grid.margin_eps)
+    )
+
+
+def eps_outcome(check):
+    """The result's repr (exact floats, and NaN equal to NaN), or the error."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(check())
+    except NearZeroError as exc:
+        return str(exc)
+
+
+def poked_closed_form(rng) -> HarmonicMapSpec:
+    """h = z + u z^2, g = w z with NaN or inf written into one part near one point."""
+    u = 0.3 * cmath.exp(2j * math.pi * rng.random())
+    w = 0.4 * cmath.exp(2j * math.pi * rng.random())
+    parts = [lambda z: z + u * z * z, lambda z: w * z,
+             lambda z: 1 + 2 * u * z, lambda z: np.full(z.shape, w, dtype=np.complex128)]
+    k, bad = int(rng.integers(4)), complex(rng.choice([np.nan, np.inf, complex(np.inf, np.nan)]))
+    centre = rng.uniform(0.2, 0.9) * cmath.exp(2j * math.pi * rng.random())
+    clean = parts[k]
+
+    def poked(z):
+        out = np.array(clean(z), dtype=np.complex128)
+        out[np.abs(z - centre) < 0.15] = bad
+        return out
+
+    parts[k] = poked
+    return HarmonicMapSpec(a=[u], b=[w], truncation_order=2,
+                           closed_form=ClosedForm("poked", *parts))
+
+
+def pruning_input(kind: str, rng, order: int, n_eps: int) -> HarmonicMapSpec:
+    if kind == "random":
+        return family_map(int(rng.integers(2**32)), order, rng.uniform(0.05, 2.0))
+    if kind in ("ring", "near_ring"):
+        # g = c h: |h| = |g| on every ring when |c| = 1, nearly so otherwise;
+        # c = -1/eps_k makes member k vanish identically.
+        c = cmath.exp(2j * math.pi * rng.random())
+        if kind == "near_ring":
+            c *= 1 + float(rng.choice([1e-15, -1e-12, 1e-9, 1e-3]))
+        elif rng.random() < 0.5:
+            c = -complex(np.conj(unimodular_samples(n_eps)[rng.integers(n_eps)]))
+        a = family_map(int(rng.integers(2**32)), order, rng.uniform(0.05, 1.0)).a
+        return HarmonicMapSpec(a=a, b=c * np.concatenate([[1.0], a]), truncation_order=order)
+    if kind == "between":
+        # h + eps g = z (1 + eps b_1 + ...) with |b_1| near 1: its zeros move
+        # with eps and lie between the sampled members and grid points.
+        m = family_map(int(rng.integers(2**32)), order, rng.uniform(0.01, 0.3))
+        b = m.b.copy()
+        b[0] = rng.uniform(0.8, 1.2) * cmath.exp(2j * math.pi * rng.random())
+        return HarmonicMapSpec(a=m.a, b=b, truncation_order=order)
+    if kind == "overflow":
+        m = family_map(int(rng.integers(2**32)), max(order, 2), 0.5)
+        a = m.a.copy()
+        a[rng.integers(a.size)] = float(rng.choice([1e308, 1e200, 1e154]))
+        return HarmonicMapSpec(a=a, b=m.b, truncation_order=m.truncation_order)
+    if kind == "constant":
+        # h + eps g = (1 + eps c) z: the quotient is 1 at every point for every eps.
+        c = 0.5 * cmath.exp(2j * math.pi * rng.random()) if rng.random() < 0.5 else 0.0
+        return HarmonicMapSpec(a=[], b=[c], truncation_order=order)
+    if kind == "catalog":
+        name = str(rng.choice(["koebe", "harmonic_koebe", "half_plane", "f4", "f1", "f3", "f7"]))
+        return catalog(name, p=SpiralParams(rng.uniform(-1.2, 1.2)), alpha=0.5)
+    return poked_closed_form(rng)
+
+
+PRUNING_KINDS = st.sampled_from(
+    ["random", "ring", "near_ring", "between", "overflow", "constant", "catalog", "poked"]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRUNING_KINDS, st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 24),
+       st.sampled_from([8, 24, 64, 256, 2048]), st.integers(1, 6), st.booleans(),
+       st.sampled_from([1e-9, 0.0, 1e-3, 0.05]))
+def test_pruned_eps_scan_is_the_full_sampled_scan(
+    kind, seed, order, n_eps, n_angles, n_radii, dense, margin
+):
+    rng = np.random.default_rng(seed)
+    m = pruning_input(kind, rng, order, n_eps)
+    r_min = float(rng.uniform(1e-3, 0.6))
+    if dense:  # several blocks, so that the candidates split between them
+        n_radii += BLOCK_POINTS // n_angles
+    grid = GridSpec(r_min=r_min, r_max=float(rng.uniform(r_min + 0.01, 0.995)),
+                    n_radii=n_radii, n_angles=n_angles, margin_eps=margin)
+    want = eps_outcome(lambda: every_pair_eps_check(m, grid, n_eps))
+    assert eps_outcome(lambda: epsilon_starlike_check(m, grid, n_eps)) == want

@@ -37,6 +37,20 @@ def binomial_negative_power(c, order):
     return out
 
 
+def coefficient_loop_divide(s, t):
+    """Reference: the coefficient-by-coefficient solve of T(t) q = s,
+    q_k = (s_k - sum_{j<k} q_j t_{k-j}) / t_0."""
+    n = min(s.order, t.order)
+    sc, tc = s.coeffs, t.coeffs
+    out = np.zeros(n + 1, dtype=np.complex128)
+    for k in range(n + 1):
+        acc = sc[k]
+        if k:
+            acc = acc - np.dot(out[:k], tc[k:0:-1])
+        out[k] = acc / tc[0]
+    return out
+
+
 class TestArithmetic:
     def test_add_linearity(self):
         z = PowerSeries.identity(4)
@@ -234,6 +248,24 @@ class TestDivide:
     def test_rejects_zero_constant(self):
         with pytest.raises(ZeroDivisionError):
             divide(PowerSeries([1, 1]), PowerSeries([0, 1]))
+
+    @pytest.mark.parametrize("order", [63, 64, 65, 129, 512])
+    def test_blocked_solve_matches_the_coefficient_loop(self, rng, order):
+        # Orders at, around and across the 64-coefficient blocks, and a
+        # dividend longer than the divisor (the quotient takes the shorter).
+        for head, extra in ((1.0, 0), (0.6 - 0.8j, 3)):
+            t = PowerSeries(tail_bounded_coeffs(rng, order, head, tail_budget=0.4))
+            s = PowerSeries(rng.standard_normal(order + 1 + extra)
+                            + 1j * rng.standard_normal(order + 1 + extra))
+            want = coefficient_loop_divide(s, t)
+            got = divide(s, t).coeffs
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", [0, 63, 64, 65, 129, 512])
+    def test_division_by_one_is_exact(self, rng, order):
+        s = PowerSeries(rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1))
+        assert np.array_equal(divide(s, PowerSeries.constant(1, order)).coeffs, s.coeffs)
 
     def test_log_derivative_ratio_koebe(self):
         # Oracle: z k'(z)/k(z) = (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
