@@ -262,6 +262,14 @@ def transform_exponent(p: SpiralParams, orientation: int = 1) -> complex:
     return complex(np.exp(1j * orientation * p.lam) * math.cos(p.lam))
 
 
+#: The last transform built, (key, h): a one-entry memo keyed on the exact
+#: bytes of g's coefficients and of mu (the orientation is part of mu).  So
+#: :func:`transform_identity_defect` right after the transform of the same g
+#: reuses its h.  h is a function of the key alone and a PowerSeries is
+#: immutable, so a hit returns what a miss would build, to every caller.
+_last_transform: tuple = (None, None)
+
+
 def spirallike_power_transform(
     g: PowerSeries,
     p: SpiralParams,
@@ -276,7 +284,9 @@ def spirallike_power_transform(
     convention; orientation = -1 uses the mirrored exponent and lands in
     the angle-reflected class.  A coarse grid probe warns when the output
     violates its spiral inequality (e.g. because the input was not
-    starlike).
+    starlike).  A call with the same coefficients and exponent as the last
+    transform built returns that h (``_last_transform``); the probe still
+    runs on every call that asks for it.
     """
     c = g.coeffs
     if abs(c[0]) > NORMALIZATION_TOL:
@@ -285,8 +295,13 @@ def spirallike_power_transform(
         raise NormalizationError(
             f"transform input needs g'(0) = 1, got {c[1] if g.order >= 1 else 0}"
         )
+    global _last_transform
     mu = transform_exponent(p, orientation)
-    h = pow_series(g.divided_by_z(), mu).times_z()
+    key = (c.tobytes(), np.complex128(mu).tobytes())
+    last_key, h = _last_transform
+    if key != last_key:
+        h = pow_series(g.divided_by_z(), mu).times_z()
+        _last_transform = (key, h)
     if probe:
         _orientation_probe(g)
     return h
@@ -324,7 +339,8 @@ def transform_identity_defect(
 ) -> float:
     """Consistency defect of the power transform on a grid.
 
-    Builds h from g, forms both logarithmic-derivative ratios as series,
+    Builds h from g (or reuses it when the last transform built was that of
+    the same g and exponent), forms both logarithmic-derivative ratios as series,
     and returns max |Re(e^{-i s lam} z h'/h) - cos(lam) Re(z g'/g)| over
     the grid (s = orientation).  The identity is exact for the transform,
     so the defect measures only the numerical consistency of the series

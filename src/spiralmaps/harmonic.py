@@ -414,8 +414,9 @@ class GridField:
     """The |f|, Jacobian, spiral quotient Re(phase Df/f) and two-modulus
     margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
 
-    The rings are walked in blocks of about ``BLOCK_POINTS`` points and only
-    the running minima are kept, so memory does not grow with ``n_radii``.
+    The rings are walked in blocks of about ``BLOCK_POINTS`` points (half
+    that for a closed form) and only the running minima are kept, so memory
+    does not grow with ``n_radii``.
     ``pointwise`` is None exactly when min |f| is not above margin_eps (NaN
     included); the quotient is not formed once |f| has dipped below it.
 
@@ -430,9 +431,13 @@ class GridField:
     power table and the fold temporaries are new, the last up to
     3 R min(N + 1, n_angles) values for R rings and order N.
 
-    A closed form is evaluated per block from h, g, h', g'; its products run
-    in place and keep the operand order of the plain expressions, so the
-    block gives the bits of those expressions evaluated on the whole grid."""
+    A closed form is evaluated from h, g, h', g' on blocks of at most
+    ``BLOCK_POINTS // 2`` points (or one ring), and its products run in place
+    in the operand order of the plain expressions.  numpy computes an
+    operator on a temporary of ``BLOCK_POINTS`` complex values (256 KiB) or
+    more in place, swapping the operands of a complex product, which then
+    rounds differently (FMA); below that size each point gets the bits that
+    ring-by-ring evaluation gives it, whatever the grid."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
@@ -441,7 +446,7 @@ class GridField:
         if m.closed_form is None:
             self._scan_rings(field_rows(m))
         else:
-            for _, z in ring_blocks(grid):
+            for _, z in ring_blocks(grid, 2):
                 self._scan_closed_form(m, z)
 
     def _merge(self, name: str, values, z, threshold: float) -> None:

@@ -5,16 +5,23 @@ A :class:`PowerSeries` stores the coefficients ``c[0] .. c[N]`` of
 Binary operations truncate to the smaller operand order, so a result is
 always exact to the order it claims.
 
-``exp``/``log``/``pow`` are computed with the standard formal ODE
-recurrences, coefficient by coefficient, not by numerical quadrature.  No
-branch tracking is needed: :func:`log_series` requires constant term 1 and
-:func:`exp_series` constant term 0, which pins the principal branch.
-:func:`pow_rows` runs the same recurrences over a batch of coefficient rows.
+Division and ``log`` share one blocked lower-triangular Toeplitz solve
+(:func:`_toeplitz_solve`): ``s / t`` solves T(t) q = s, and ``log s`` is the
+integral of ``s'/s`` (Brent & Kung, "Fast algorithms for manipulating formal
+power series", J. ACM 1978).  ``exp`` runs the formal ODE recurrence
+``n E_n = sum_j j s_j E_{n-j}`` coefficient by coefficient, which keeps every
+coefficient accurate relative to itself (the 1/n! of ``exp(z)``), and
+``pow`` is ``exp(mu log)``.  No branch tracking is needed: :func:`log_series`
+requires constant term 1 and :func:`exp_series` constant term 0, which pins
+the principal branch.  :func:`pow_rows` raises a batch of coefficient rows
+to one power with the coefficient-by-coefficient recurrences of ``log`` and
+``exp``, every row at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 #: Default truncation order for constructors that do not receive one.
 DEFAULT_ORDER = 64
@@ -186,45 +193,112 @@ def _require_constant(c: np.ndarray, value: int, what: str) -> None:
         raise NormalizationError(f"{what} needs constant term {value}, got {c0[bad][0]}")
 
 
-# The recurrences take c of shape (..., N + 1): one series or a leading batch
-# of rows.  They run on the transposes, so that c[n] is coefficient n of every
-# row and, for one series, a numpy scalar: there the loop is the plain
-# one-series loop with np.dot, bit for bit and as fast (indexing c[..., n]
-# directly gives 0-d arrays, which made log_series about 1.5x slower).  The
-# only choice by rank is the inner product, a row-wise dot for a batch.
+#: Coefficients per block of the triangular Toeplitz solve (:func:`_toeplitz_solve`).
+_BLOCK = 64
+
+
+def _windows(a: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) view of the 1-D array ``a`` with [i, j] =
+    a[start + i + j].  Its strides are not BLAS's, so a product with it sums
+    in numpy's own order, the same on every machine."""
+    step = a.strides[0]
+    return as_strided(a[start:], shape=(rows, cols), strides=(step, step), writeable=False)
+
+
+def _toeplitz_solve(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """q with T(t) q = s, for 1-D t and s of one length and t[0] != 0, where
+    T(t) is the lower-triangular Toeplitz matrix of t: the coefficients of
+    the series quotient s / t.
+
+    The solve runs in blocks of ``_BLOCK`` coefficients.  1/t is computed to
+    one block's length once, coefficient by coefficient.  Each block of q
+    then subtracts the share of the earlier coefficients with one product of
+    windows of t (row k + i of T(t) meets q[k - 1], ..., q[0] with
+    t[i + 1 : i + 1 + k]) and the reversed history, and applies the
+    triangular Toeplitz matrix of 1/t, which inverts the block's own part of
+    T(t), as windows of the zero-padded inverse times the reversed block.
+    The products sum in another order than a coefficient-by-coefficient
+    solve, so the two agree to rounding, not bit for bit.
+    """
+    size = min(_BLOCK, s.size)
+    padded = np.zeros(2 * size - 1, dtype=np.complex128)  # size - 1 zeros, then 1/t
+    inv = padded[size - 1 :]
+    inv[0] = 1.0 / t[0]
+    # head[size - 1 - j] = t[j], so that np.dot reads t[k], ..., t[1] forward
+    # (it copies a reversed operand before it sums).
+    head = np.ascontiguousarray(t[size - 1 :: -1])
+    for k in range(1, size):
+        inv[k] = -np.dot(inv[:k], head[size - 1 - k : size - 1]) / t[0]
+    # solve[size - b + i, j] = (1/t)[i - (b - 1 - j)]: its last b rows and
+    # first b columns, times the reversed block, apply the triangular
+    # Toeplitz matrix of 1/t to a block of b coefficients.
+    solve = _windows(padded, 0, size, size)
+    out = np.empty(s.size, dtype=np.complex128)
+    for k in range(0, s.size, size):
+        b = min(size, s.size - k)
+        rhs = s[k : k + b]
+        if k:
+            rhs = rhs - _windows(t, 1, b, k) @ out[k - 1 :: -1]
+        out[k : k + b] = solve[size - b :, :b] @ rhs[::-1]
+    return out
 
 
 def _log(c: np.ndarray) -> np.ndarray:
+    """log of one series (1-D c) or of each row of a batch (2-D c).
+
+    One series: log s is the integral of s'/s, so L_n = q_{n-1}/n with q the
+    quotient s'/s from :func:`_toeplitz_solve`.  A batch runs the formal ODE
+    recurrence n s_n = sum_{j=0}^{n-1} s_j (n - j) L_{n-j} coefficient by
+    coefficient, every row at once (its rows are short: the unimodular
+    family checks run it at orders up to 64).
+    """
     _require_constant(c, 1, "log")
     out = np.zeros_like(c)
+    n = c.shape[-1] - 1
+    if c.ndim == 1:
+        if n:
+            k = np.arange(1, n + 1)
+            out[1:] = _toeplitz_solve(c[:n], c[1:] * k) / k
+        return out
     kl = np.zeros_like(c)  # kl[k] = k * out[k]
-    dot = np.dot if c.ndim == 1 else _row_dot
+    # On the transposes c[m] is coefficient m of every row.
     c, o, kl = c.T, out.T, kl.T
-    for n in range(1, len(c)):
-        # n*s_n = sum_{j=0}^{n-1} s_j (n-j) L_{n-j}; solve for L_n (s_0 = 1).
-        inner = dot(c[1:n], kl[n - 1 : 0 : -1]) if n > 1 else 0.0
-        o[n] = c[n] - inner / n
-        kl[n] = n * o[n]
+    for m in range(1, n + 1):
+        inner = _row_dot(c[1:m], kl[m - 1 : 0 : -1]) if m > 1 else 0.0
+        o[m] = c[m] - inner / m
+        kl[m] = m * o[m]
     return out
+
+
+# _exp takes c of shape (..., N + 1): one series or a leading batch of rows.
+# It runs on the transposes, so that js[n] is coefficient n of every row and,
+# for one series, a numpy scalar: there the loop is the plain one-series loop
+# with np.dot, bit for bit and as fast (indexing c[..., n] directly gives 0-d
+# arrays, about 1.5x slower).  The only choice by rank is the inner product,
+# a row-wise dot for a batch.  The output is built back to front, so that
+# E_{n-1}, ..., E_0 is a forward slice: np.dot copies a reversed operand
+# before it sums.  The products and their order are those of a front-to-back
+# loop, so the bits are too.
 
 
 def _exp(c: np.ndarray) -> np.ndarray:
     _require_constant(c, 0, "exp")
-    out = np.zeros_like(c)
     dot = np.dot if c.ndim == 1 else _row_dot
-    js, o = (np.arange(c.shape[-1]) * c).T, out.T  # js[j] = j * s_j
-    o[0] = 1.0
-    for n in range(1, len(o)):
-        o[n] = dot(js[1 : n + 1], o[n - 1 :: -1]) / n
-    return out
+    js = (np.arange(c.shape[-1]) * c).T  # js[j] = j * s_j
+    n = len(js) - 1
+    rev = np.zeros_like(js)  # rev[n - m] = E_m
+    rev[n] = 1.0
+    for m in range(1, n + 1):
+        rev[n - m] = dot(js[1 : m + 1], rev[n - m + 1 :]) / m
+    return np.ascontiguousarray(rev[::-1].T)
 
 
 def log_series(s: PowerSeries) -> PowerSeries:
     """Formal logarithm of a series with constant term 1.
 
-    Solves ``s * L' = s'`` coefficientwise, which forces L(0) = 0 and the
-    principal branch.  ``exp_series(log_series(s)) == s`` to the truncation
-    order.
+    Integrates ``L' = s'/s`` from L(0) = 0, which pins the principal branch;
+    the quotient is one blocked Toeplitz solve.  ``exp_series(log_series(s))
+    == s`` to the truncation order.
     """
     return PowerSeries(_log(s.coeffs))
 
@@ -256,43 +330,17 @@ def pow_rows(rows, mu) -> np.ndarray:
     return _exp(_exponent(mu) * _log(np.asarray(rows, dtype=np.complex128)))
 
 
-#: Coefficients per block of the triangular solve in :func:`divide`.
-_DIVIDE_BLOCK = 64
-
-
 def divide(s: PowerSeries, t: PowerSeries) -> PowerSeries:
     """Series quotient s / t; the divisor needs a nonzero constant term.
 
     q = s / t solves T(t) q = s, with T(t) the lower-triangular Toeplitz
-    matrix of t.  The solve runs in blocks of 64 coefficients: 1/t is
-    computed to 64 terms once, coefficient by coefficient; each block of q
-    then subtracts the share of the earlier coefficients with one
-    matrix-vector product against sliding windows of t, and applies the
-    triangular Toeplitz matrix of 1/t, which inverts the block's own part of
-    T(t).  The products sum in another order than a coefficient-by-
-    coefficient solve, so the two agree to rounding, not bit for bit.
+    matrix of t, by the blocked solve :func:`_toeplitz_solve`.
     """
     n = min(s.order, t.order)
-    sc, tc = s.coeffs[: n + 1], t.coeffs[: n + 1]
+    tc = t.coeffs[: n + 1]
     if abs(tc[0]) <= NORMALIZATION_TOL:
         raise ZeroDivisionError("series division by a series with ~0 constant term")
-    size = min(_DIVIDE_BLOCK, n + 1)
-    inv = np.zeros(size, dtype=np.complex128)  # 1/t to ``size`` terms
-    inv[0] = 1.0 / tc[0]
-    for k in range(1, size):
-        inv[k] = -np.dot(inv[:k], tc[k:0:-1]) / tc[0]
-    j = np.arange(size)
-    solve = np.tril(inv[j[:, None] - j])  # solve[i, j] = inv[i - j]
-    out = np.empty(n + 1, dtype=np.complex128)
-    for k in range(0, n + 1, size):
-        b = min(size, n + 1 - k)
-        rhs = sc[k : k + b]
-        if k:
-            # Row k + i of T(t) meets q[k - 1], ..., q[0] with t[i + 1 : i + 1 + k].
-            windows = np.lib.stride_tricks.sliding_window_view(tc, k)[1 : b + 1]
-            rhs = rhs - windows @ out[k - 1 :: -1]
-        out[k : k + b] = solve[:b, :b] @ rhs
-    return PowerSeries(out)
+    return PowerSeries(_toeplitz_solve(tc, s.coeffs[: n + 1]))
 
 
 def log_derivative_ratio(s: PowerSeries) -> PowerSeries:

@@ -249,6 +249,76 @@ class TestPowerTransform:
             spirallike_power_transform(bad, PI4)
 
 
+
+def binomial_transform(mu, order):
+    """Oracle: z (1 - z)^(-2 mu), the transform of the Koebe function, by the
+    recurrence c_1 = 1, c_n = c_{n-1} (n - 2 + 2 mu) / (n - 1)."""
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[1] = 1.0
+    for n in range(2, order + 1):
+        c[n] = c[n - 1] * (n - 2 + 2 * mu) / (n - 1)
+    return c
+
+
+def assert_componentwise(got, want, rtol):
+    assert got.shape == want.shape
+    err = np.abs(got - want)[1:] / np.abs(want[1:])
+    assert err.max() <= rtol, (int(err.argmax()) + 1, err.max())
+
+
+class TestBinomialOracle:
+    @pytest.mark.parametrize("order", [64, 256, 512])
+    @pytest.mark.parametrize("lam", [-1.2, -math.pi / 4, 0.5, 1.5])
+    def test_koebe_transform_is_the_binomial_series(self, order, lam):
+        p = SpiralParams(lam)
+        h = spirallike_power_transform(catalog("koebe", order=order).h_series(), p, probe=False)
+        assert_componentwise(h.coeffs, binomial_transform(transform_exponent(p), order), 1e-13)
+
+    @pytest.mark.parametrize("order", [64, 256, 512])
+    def test_f4_is_the_binomial_series(self, order):
+        # f4 = z (1 - z)^(i - 1): the exponent -2 mu = i - 1 is exact here.
+        h = catalog("f4", order=order).h_series()
+        assert_componentwise(h.coeffs, binomial_transform((1 - 1j) / 2, order), 1e-13)
+
+
+class TestTransformReuse:
+    """spirallike_power_transform keeps the last h it built, keyed on the
+    exact bytes of g and of mu."""
+
+    def test_probe_warns_on_every_identical_call(self):
+        bad = PowerSeries([0.0, 1.0, 0.0, 4.0], order=8)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning):
+                spirallike_power_transform(bad, PI4)
+
+    def test_defect_is_the_same_on_a_hit_and_a_miss(self):
+        g = catalog("koebe", order=128).h_series()
+        h = spirallike_power_transform(g, PI4)
+        assert spirallike_power_transform(g, PI4, probe=False) is h  # a hit
+        hit = transform_identity_defect(g, PI4)
+        spirallike_power_transform(PowerSeries.identity(8), PI4, probe=False)  # evict
+        miss = transform_identity_defect(g, PI4)
+        assert hit == miss
+
+    def test_another_angle_or_orientation_never_hits(self):
+        g = catalog("koebe", order=64).h_series()
+        h = spirallike_power_transform(g, PI4, probe=False)
+        # Each call differs from the one before in its angle or orientation.
+        # (lam, -1) has the exponent of (-lam, 1), so that pair may hit.
+        others = [(SpiralParams(math.pi / 4 + 1e-15), 1), (PI4, -1), (PI4, 1), (SpiralParams(0.5), 1)]
+        for p, orientation in others:
+            got = spirallike_power_transform(g, p, orientation=orientation, probe=False)
+            assert got is not h
+            mu = transform_exponent(p, orientation)
+            want = pow_series(g.divided_by_z(), mu).times_z()
+            assert np.array_equal(got.coeffs, want.coeffs)
+            h = got
+
+    def test_equal_coefficients_in_a_new_series_hit(self):
+        g = catalog("koebe", order=64).h_series()
+        h = spirallike_power_transform(g, PI4, probe=False)
+        assert spirallike_power_transform(PowerSeries(g.coeffs), PI4, probe=False) is h
+
 class TestTransformIdentity:
     def test_angle_zero_defect_small(self):
         # analytically zero; what remains is series-stack rounding noise

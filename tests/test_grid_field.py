@@ -195,6 +195,26 @@ def test_nan_minima_win_across_blocks():
         assert got.witness == want.witness
 
 
+
+@pytest.mark.parametrize("r_min, r_max, lam", [(0.3, 0.75, -1.2), (0.3, 0.75, 1.3), (1e-3, 0.99, -0.6)])
+def test_closed_form_scans_are_the_ring_by_ring_scans(r_min, r_max, lam):
+    # On blocks of 8 rings of 2048 points numpy computes f4's products in
+    # place with swapped operands, and a minimum below moved in its last bits;
+    # the scan must give the bits of scanning each ring on its own.
+    m = catalog("f4")
+    phase = SpiralParams(lam).phase
+    grid = GridSpec(r_min=r_min, r_max=r_max, n_radii=16, n_angles=2048)
+    whole = GridField(m, grid, phase)
+    rings = [GridField(m, GridSpec(r_min=r, r_max=0.995, n_radii=1, n_angles=2048), phase)
+             for r in np.linspace(r_min, r_max, grid.n_radii)]
+    for name in ("nonvanishing", "sense_preserving", "pointwise", "margin"):
+        want = None
+        for ring in rings:  # a later ring wins only when strictly smaller
+            got = getattr(ring, name)
+            if want is None or got.min_value < want.min_value:
+                want = got
+        assert getattr(whole, name) == want, name
+
 def traced_peak(run) -> int:
     started = not tracemalloc.is_tracing()
     if started:

@@ -51,6 +51,17 @@ def coefficient_loop_divide(s, t):
     return out
 
 
+
+def coefficient_loop_log(s):
+    """Reference: the formal ODE recurrence for L = log s (s_0 = 1),
+    n s_n = sum_{j=0}^{n-1} s_j (n - j) L_{n-j}, one coefficient at a time."""
+    c = s.coeffs
+    out = np.zeros(c.size, dtype=np.complex128)
+    for n in range(1, c.size):
+        inner = sum(c[j] * (n - j) * out[n - j] for j in range(1, n))
+        out[n] = c[n] - inner / n
+    return out
+
 class TestArithmetic:
     def test_add_linearity(self):
         z = PowerSeries.identity(4)
@@ -158,6 +169,16 @@ class TestLogExpPow:
         expected = np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)])
         assert np.allclose(out.coeffs, expected, atol=1e-13)
         assert abs(out[3] - 1 / 3) < 1e-14
+
+    @pytest.mark.parametrize("order", [63, 64, 65, 129, 512])
+    def test_blocked_log_matches_the_coefficient_loop(self, rng, order):
+        # Orders at, around and across the 64-coefficient blocks of the solve.
+        for budget in (0.2, 0.6):
+            s = PowerSeries(tail_bounded_coeffs(rng, order, 1.0, tail_budget=budget))
+            want = coefficient_loop_log(s)
+            got = log_series(s).coeffs
+            assert got.shape == want.shape and got[0] == 0
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_exp_of_zero(self):
         out = exp_series(PowerSeries.zero(5))
