@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import (
+    BLOCK_POINTS,
     ClosedForm,
     GridSpec,
     HarmonicMapSpec,
@@ -31,6 +32,7 @@ from .harmonic import (
     signed_shape,
 )
 from .criteria import (
+    BOUND_ROUNDING,
     EpsilonScanResult,
     SpiralParams,
     family_scan,
@@ -376,7 +378,10 @@ def transform_family_check(
     minimum supports transferring multiplier-bounded coefficients onto a
     spirallike map; a negative one refutes it on the sampled family.  All
     members are raised to mu by one batched recurrence (:func:`pow_rows`) and
-    evaluated ring by ring with the FFT (:func:`ring_values`).
+    evaluated with the FFT (:func:`ring_values`), on a ring only where
+    :func:`family_scan` finds that their bounds (:func:`_power_bounds`, from
+    the same coefficients) leave them in play; the result is that of
+    evaluating every sampled member on every ring, bit for bit.
     """
     hc = H.coeffs
     if abs(hc[0]) > NORMALIZATION_TOL or H.order < 1 or abs(hc[1] - 1.0) > NORMALIZATION_TOL:
@@ -401,20 +406,54 @@ def transform_family_check(
         rows[:, 0, 1:] = pow_rows(s[:formed] * (1.0 / w0[:formed, None]), mu)
         rows[:, 1] = rows[:, 0] * (rot * np.arange(n + 1))
 
-        def members(r, z):
-            def member(k):
-                values = ring_values(rows[k].reshape(-1, n + 1), r, grid.n_angles)
-                values = values.reshape(-1, 2, z.size)
-                return values[:, 0], values[:, 1]
-            return member
+        def values(k, r):
+            out = ring_values(rows[k].reshape(-1, n + 1), r, grid.n_angles)
+            out = out.reshape(k.size, 2, -1)
+            return out[:, 0], out[:, 1]
 
-        result = family_scan(members, grid, eps[:formed], "F_eps")
+        def bounds(k, r):
+            mk = np.abs(rows[k, 0, 1:])  # |p_j|, F_eps = z P
+            step = max(1, BLOCK_POINTS // n)  # rings per power table
+            return np.concatenate(
+                [_power_bounds(mk, r[i : i + step], rot.real) for i in range(0, r.size, step)],
+                axis=-1,
+            )
+
+        result = family_scan(values, bounds, grid, eps[:formed], "F_eps")
     if formed < n_eps:
         raise ConstraintError(
             f"H + eps G degenerates at eps = {complex(eps[formed])}: "
             f"linear coefficient {complex(w0[formed]):.3e}"
         )
     return result
+
+
+def _power_bounds(mag, r, cos_lam: float) -> np.ndarray:
+    """Lower bounds on |F| and on Re(rot z F'/F) over each ring |z| = r for
+    the members F = z P, P = sum p_j z^j, with |p_j| the rows of ``mag``:
+    shape (2, members, rings).  rot = e^{-i s lam}, whose real part is
+    ``cos_lam`` for either orientation s.
+
+    With E = sum j |p_j| r^j, D = |p_0| - sum_{j >= 1} |p_j| r^j and S = |p_0|
+    + sum_{j >= 1} |p_j| r^j, |F| >= r D and Re(rot z F'/F) = cos(lam) +
+    Re(rot z P'/P) >= cos(lam) - E/D wherever D > 0.  Each bound is less a
+    rounding allowance relative to what a member's rounding can reach there,
+    r S and (1 + E/D) S/D; where D <= 0 or a bound is not finite it is -inf.
+    """
+    j = np.arange(mag.shape[1])[:, None]
+    power = r**j
+    # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
+    # about 0.4 MB of resident memory that nothing else here needs.
+    tail = np.einsum("mj,jr->mr", mag[:, 1:], power[1:])
+    dist, size = mag[:, :1] - tail, mag[:, :1] + tail
+    slope = np.einsum("mj,jr->mr", mag, j * power)
+    with np.errstate(all="ignore"):
+        ratio = slope / dist
+        out = np.stack([
+            r * (dist - BOUND_ROUNDING * size),
+            cos_lam - ratio - BOUND_ROUNDING * (1 + ratio) * size / dist,
+        ])
+    return np.where((dist > 0) & np.isfinite(out), out, -np.inf)
 
 
 # -------------------------------------------------------------------- catalog

@@ -31,6 +31,7 @@ from .harmonic import (
     dh_values,
     eval_f,
     g_values,
+    grid_axes,
     h_values,
     ring_blocks,
     ring_values,
@@ -312,14 +313,18 @@ def unimodular_samples(n_eps: int) -> np.ndarray:
 
 
 def _merge_row_minima(best, at, which, values, z) -> None:
-    # Row i of values belongs to member which[i]; a later block wins only when
-    # strictly smaller, or NaN where the best is not, so each member keeps its
-    # first minimiser as np.argmin over the whole grid would.
+    # Row i of values belongs to member which[i]; its first minimiser, as
+    # np.argmin over the whole grid would take it.
     k = np.argmin(values, axis=1)
-    v = values[np.arange(k.size), k]
+    _merge_minima(best, at, which, values[np.arange(k.size), k], z[k])
+
+
+def _merge_minima(best, at, which, v, vz) -> None:
+    # A later value wins only when strictly smaller, or NaN where the best is
+    # not, so each member keeps its first minimiser.
     won = ~((v >= best[which]) | np.isnan(best[which]))
     best[which[won]] = v[won]
-    at[which[won]] = z[k[won]]
+    at[which[won]] = vz[won]
 
 
 def _family_minima(n: int, grid: GridSpec):
@@ -347,39 +352,82 @@ def _family_result(low, low_at, best, best_at, eps, margin: float, what: str):
     )
 
 
-def family_scan(members, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
+def _merge_family(minima, which, den, num, z, margin: float) -> None:
+    """Merge the values (den, num) of the members ``which`` on the points
+    ``z`` into the running minima; Re(num/den) only for the members whose
+    |den| is still above ``margin``."""
+    low, low_at, best, best_at = minima
+    _merge_row_minima(low, low_at, which, np.abs(den), z)
+    clear = low[which] >= margin
+    if not clear.all():
+        which, den, num = which[clear], den[clear], num[clear]
+    _merge_row_minima(best, best_at, which, np.real(num / den), z)
+
+
+def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
     """Minimum of Re(num/den) over the unimodular samples ``eps`` and the grid.
 
-    ``members(r, z)`` sets up the block of rings with radii ``r`` and points
-    ``z`` and returns a function that maps a slice of ``eps`` to the values
-    (den, num) of those members on ``z``, each of shape (members, points).
-    Chunks of eps times blocks of rings hold about ``BLOCK_POINTS`` values,
-    and only per-eps running minima are kept, so memory grows with neither
-    n_eps nor the grid.  Raises :class:`NearZeroError` naming eps and the
-    point for the first eps whose |den| is not above margin_eps, ``what``
-    naming the denominator; Re(num/den) is not formed for such an eps.  The
-    witness is the first minimiser, eps-major, then radius-major.
+    ``values(which, r)`` returns the values (den, num) of the members
+    ``which`` (indices into ``eps``) on the rings of radii ``r``, each of
+    shape (members, rings * n_angles), radius-major.  ``bounds(which, r)``
+    returns lower bounds on |den| and on Re(num/den) over each of those
+    rings, each of shape (members, rings), less a rounding allowance: at most
+    every computed value there, and -inf (or NaN) where none holds.
+
+    The outermost ring is evaluated first, for every eps: its minimum gives
+    ``top``, a value some member attains.  The scan then walks the rings
+    radius-major and, per chunk of eps and block of rings, evaluates only the
+    pairs whose bound on Re(num/den) does not clear ``top`` (NaN included) or
+    whose bound on |den| does not clear margin_eps; ``top`` falls with the
+    running minima, and the outer ring's minima are merged last, at their
+    place.  No skipped pair can hold the minimum, a tie with it, a NaN or a
+    near-zero member, so the result is that of the full sampled scan bit for
+    bit.  Chunks of eps times blocks of rings hold about ``BLOCK_POINTS``
+    values, and only per-eps running minima are kept, so memory grows with
+    neither n_eps nor the grid.  Raises :class:`NearZeroError` naming eps
+    and the point for the first eps whose |den| is not above margin_eps,
+    ``what`` naming the denominator; Re(num/den) is not formed for such an
+    eps.  The witness is the first minimiser, eps-major, then radius-major.
     """
     n, margin = eps.size, grid.margin_eps
-    low, low_at, best, best_at = _family_minima(n, grid)
     chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
-    for r, z in ring_blocks(grid, chunk):
-        member = members(r, z)
-        for k in range(0, n, chunk):
-            which = np.arange(k, min(k + chunk, n))
-            den, num = member(slice(k, k + chunk))
-            _merge_row_minima(low, low_at, which, np.abs(den), z)
-            clear = low[which] >= margin
-            if not clear.all():
-                which, den, num = which[clear], den[clear], num[clear]
-            _merge_row_minima(best, best_at, which, np.real(num / den), z)
+    step = max(1, BLOCK_POINTS // (chunk * grid.n_angles))  # rings per evaluation
+    span = max(1, BLOCK_POINTS // chunk)  # rings per call of bounds
+    chunks = [np.arange(k, min(k + chunk, n)) for k in range(0, n, chunk)]
+    radii, angles = grid_axes(grid)
+    outer = _family_minima(n, grid)
+    for which in chunks:
+        _merge_family(outer, which, *values(which, radii[-1:]), radii[-1] * angles, margin)
+    top = np.fmin.reduce(outer[2])
+    minima = _family_minima(n, grid)
+    # Members are merged independently, so each chunk walks the inner rings
+    # radius-major on its own.
+    inner = radii[:-1]
+    for which in chunks:
+        for s in range(0, inner.size, span):
+            r = inner[s : s + span]
+            low_bound, bound = bounds(which, r)
+            rings = np.flatnonzero((~(bound > top) | ~(low_bound > margin)).any(axis=0))
+            for g in range(0, rings.size, step):
+                i = rings[g : g + step]
+                need = ~(bound[:, i] > top) | ~(low_bound[:, i] > margin)  # top may have fallen
+                rows, i = which[need.any(axis=1)], i[need.any(axis=0)]
+                if rows.size:
+                    z = (r[i, None] * angles).ravel()
+                    _merge_family(minima, rows, *values(rows, r[i]), z, margin)
+                    top = np.fmin(top, np.fmin.reduce(minima[2][rows]))
+    everyone = np.arange(n)
+    low, low_at, best, best_at = minima
+    _merge_minima(low, low_at, everyone, outer[0], outer[1])
+    _merge_minima(best, best_at, everyone, outer[2], outer[3])
     return _family_result(low, low_at, best, best_at, eps, margin, what)
 
 
-#: Rounding allowance of the Mobius bounds, relative to the size of what they
-#: bound: about 4,500 ulps, where each bound and each sampled member carries a
-#: few dozen.
-_BOUND_ROUNDING = 1e-12
+#: Rounding allowance of the family scans' bounds (the Mobius bounds here, the
+#: ring bounds of ``construct.transform_family_check``), relative to the size
+#: of what they bound: about 4,500 ulps, where each bound and each sampled
+#: member carries a few dozen.
+BOUND_ROUNDING = 1e-12
 
 
 def _merge_members(best, at, eps, values, z) -> None:
@@ -452,7 +500,7 @@ def _eps_block(minima, eps, margin: float, z, hv, gv, zdh, zdg) -> None:
     low, low_at, best, best_at = minima
     with np.errstate(all="ignore"):
         ah, ag = np.abs(hv), np.abs(gv)
-        near = ~(np.abs(ah - ag) - margin > _BOUND_ROUNDING * (ah + ag))
+        near = ~(np.abs(ah - ag) - margin > BOUND_ROUNDING * (ah + ag))
     i = np.flatnonzero(near)
     hi, gi = hv[i], gv[i]
     _merge_members(low, low_at, eps, lambda e: np.abs(hi + e * gi), z[i])
@@ -486,7 +534,7 @@ def _quotient_bound(A, B, C, D, aC, aD) -> np.ndarray:
         centre = A * np.conj(C) - B * np.conj(D)  # times det
         radius = np.abs(A * D - B * C) / adet
         size = np.abs(centre) / adet + radius
-        return centre.real / det - radius - _BOUND_ROUNDING * size * ((sq + dq) / adet)
+        return centre.real / det - radius - BOUND_ROUNDING * size * ((sq + dq) / adet)
 
 
 def axis_profile(m: HarmonicMapSpec, r):

@@ -24,10 +24,11 @@ angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The
 unimodular-family scans (``criteria.family_scan`` and
 ``criteria.epsilon_starlike_check``) evaluate series-backed members with the
-FFT too, walking :func:`ring_blocks` so that each block of rings holds about
-``BLOCK_POINTS`` values whatever the number of members; the eps scan of
-h + eps g evaluates its members only at the points that its Mobius bounds
-leave in play.
+FFT too, in blocks of rings (and chunks of members) of about ``BLOCK_POINTS``
+values whatever the number of members.  Both evaluate members only where
+their bounds leave them in play: the eps scan of h + eps g at the points its
+Mobius bounds leave, the transform-family scan on the rings its per-ring
+bounds on |F_eps| and Re(z F_eps'/F_eps) leave.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ class GridSpec:
             raise ValueError("margin_eps must be finite and nonnegative")
 
 
-def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's radii and unit angle points; a grid point is their product."""
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
     if grid.n_angles % 4 == 0:  # the axis points exactly, as the FFT has them
@@ -215,7 +217,7 @@ def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def grid_points(grid: GridSpec) -> np.ndarray:
     """Flattened complex sample points r_i * exp(i theta_j)."""
-    radii, angles = _grid_axes(grid)
+    radii, angles = grid_axes(grid)
     return (radii[:, None] * angles[None, :]).ravel()
 
 
@@ -325,7 +327,7 @@ def ring_blocks(grid: GridSpec, width: int = 1):
     about ``BLOCK_POINTS`` values per block, whatever the grid.  The points
     of every block are written into one buffer, so they are valid only until
     the next block is drawn."""
-    radii, angles = _grid_axes(grid)
+    radii, angles = grid_axes(grid)
     step = _block_rings(grid, width)
     points = np.empty(step * angles.size, dtype=np.complex128)
     for i in range(0, radii.size, step):

@@ -5,6 +5,9 @@
 - ``verify`` on the default grid for every catalog entry at four spiral
   angles, plus the order-64 power transform of ``koebe``;
 - ``construct power-transform --g koebe``;
+- ``construct f-epsilon`` on three seeded ``random_signed_map``s, its
+  stdout and the map it writes, one of them scaled until the family
+  fails (exit 1, no map written);
 - ``plot`` as CSV and SVG of ``f3`` and of a seeded order-64
   ``random_signed_map``;
 - an emitted map file whose coefficients sit on the edges of the
@@ -16,9 +19,13 @@
 The dense numbers are compared to within 1e-12 * max(1, |v|) rather than
 bytewise: on grids above numpy's temporary-elision threshold a complex
 product may be computed in place, which moves witnesses of rounding-level
-ties.  Regenerate the files only for a deliberate, argued output change:
+ties.  Regenerate files only for a deliberate, argued output change, naming
+the files to rewrite (all of them when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [NAME ...]
+
+``verify_dense.json`` holds full-precision numbers that differ in the last
+digits between machines, so name only the files whose output changed.
 """
 
 from __future__ import annotations
@@ -38,7 +45,15 @@ import pytest
 from spiralmaps.cli import main
 from spiralmaps.construct import catalog_names, random_signed_map
 from spiralmaps.criteria import SpiralParams, run_all_checks
-from spiralmaps.harmonic import GridSpec, d_operator, dg_values, dh_values, eval_f, jacobian
+from spiralmaps.harmonic import (
+    GridSpec,
+    HarmonicMapSpec,
+    d_operator,
+    dg_values,
+    dh_values,
+    eval_f,
+    jacobian,
+)
 from spiralmaps.mapfile import (
     MapDocument,
     document_from_map,
@@ -59,6 +74,9 @@ EDGE_A = [
     [1e9, 123456789.0], [-1.7e308, 1.7976931348623157e308], [0.1, -0.30000000000000004],
 ]
 EDGE_B = [[1.0, -0.0], [-2.5e-7, 3.3333333333333335e-5], [4.9406564584124654e-324, -0.0]]
+#: (seed, lambda, order, scale): random_signed_map coefficients times scale.
+#: Scale 4 takes the map past the family's budget, so the check fails.
+FAMILY = ((1, 0.6, 16, 1.0), (2, -1.0, 64, 1.0), (4, 0.3, 16, 4.0))
 DENSE_GRID = GridSpec(n_radii=200, n_angles=2048)
 DENSE = (
     ("f2", "0.785398163"),
@@ -121,6 +139,24 @@ def _random_map_file(tmp: str) -> str:
     return path
 
 
+def family_text(tmp: str) -> str:
+    parts = []
+    for seed, lam, order, scale in FAMILY:
+        p = SpiralParams(lam)
+        m = random_signed_map(np.random.default_rng(seed), p, order=order, n_terms=order // 2)
+        m = HarmonicMapSpec(a=scale * m.a, b=scale * m.b, truncation_order=order, signed_form=True)
+        src, out = os.path.join(tmp, "signed.json"), os.path.join(tmp, "family.json")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(emit_map_document(document_from_map(m, p)))
+        if os.path.exists(out):
+            os.remove(out)
+        rc, text = _cli(["construct", "f-epsilon", "--from", src, "--out", out])
+        written = Path(out).read_text() if os.path.exists(out) else ""
+        parts.append(f"## seed={seed} lambda={lam} order={order} scale={scale} exit={rc}\n"
+                     f"{text}{written}")
+    return "".join(parts)
+
+
 def plot_csv_text(tmp: str) -> str:
     name, lam, flags = PLOT
     return _plot(_map_file(tmp, name, lam), ["--csv"] + flags)
@@ -168,6 +204,7 @@ def dense_numbers(tmp: str) -> dict:
 TEXT_FILES = {
     "verify_catalog.txt": verify_text,
     "construct_power_transform_koebe.json": transform_text,
+    "construct_f_epsilon.txt": family_text,
     "plot_f3.csv": plot_csv_text,
     "plot_f3.svg": plot_svg_text,
     "plot_random64.csv": random_csv_text,
@@ -225,6 +262,10 @@ def test_construct_power_transform(tmp_path):
     )
 
 
+def test_construct_f_epsilon(tmp_path):
+    _assert_same_bytes("construct_f_epsilon.txt", family_text(str(tmp_path)))
+
+
 def test_plot_csv(tmp_path):
     _assert_same_bytes("plot_f3.csv", plot_csv_text(str(tmp_path)))
 
@@ -253,17 +294,25 @@ def test_verify_dense_grid(tmp_path):
                 )
 
 
-def _write() -> None:
+def dense_text(tmp: str) -> str:
+    return json.dumps(dense_numbers(tmp), indent=1) + "\n"
+
+
+WRITERS = {**TEXT_FILES, "verify_dense.json": dense_text}
+
+
+def _write(names) -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for filename, produce in TEXT_FILES.items():
-            (GOLDEN / filename).write_bytes(produce(tmp).encode())
-        (GOLDEN / "verify_dense.json").write_text(
-            json.dumps(dense_numbers(tmp), indent=1) + "\n"
-        )
+        for filename in names:
+            (GOLDEN / filename).write_bytes(WRITERS[filename](tmp).encode())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: python tests/test_golden.py --write")
-    _write()
+    args = sys.argv[1:]
+    if args[:1] != ["--write"] or not set(args[1:]) <= WRITERS.keys():
+        raise SystemExit(
+            "usage: python tests/test_golden.py --write [NAME ...]\n"
+            "names: " + " ".join(WRITERS)
+        )
+    _write(args[1:] or list(WRITERS))

@@ -2,6 +2,7 @@
 Horner, block-wise scans, error parity with a per-eps loop, memory."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -43,7 +44,7 @@ from spiralmaps.harmonic import (
     ring_fields,
     ring_values,
 )
-from spiralmaps.series import PowerSeries, pow_series
+from spiralmaps.series import PowerSeries, pow_rows, pow_series
 
 #: Angle counts below, at and far above typical truncation orders, so that
 #: n is folded mod n_angles in some draws and not in others.
@@ -454,10 +455,19 @@ def test_family_nan_values_are_not_skipped_into_a_pass():
     # A NaN |den| is no clearance: it is reported, not dropped.
     grid = GridSpec(n_radii=3, n_angles=8)
     eps = np.array([1, -1], dtype=np.complex128)
-    den = np.ones((2, 24), dtype=np.complex128)  # one block of 3 rings
-    den[1, 5] = np.nan
+    den = np.ones((2, 3, 8), dtype=np.complex128)  # one block of 3 rings
+    den[1, 0, 5] = np.nan
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+
+    def values(k, r):
+        v = den[k][:, np.searchsorted(radii, r)].reshape(k.size, -1)
+        return v, v
+
+    def no_bounds(k, r):
+        return np.full((k.size, r.size), -np.inf), np.full((k.size, r.size), -np.inf)
+
     with pytest.raises(NearZeroError, match=r"\|den\| = nan .* eps = \(-1"):
-        family_scan(lambda r, z: lambda k: (den[k], den[k]), grid, eps, "den")
+        family_scan(values, no_bounds, grid, eps, "den")
 
 
 def test_exact_family_ties_keep_the_first_eps():
@@ -525,20 +535,26 @@ def every_pair_eps_check(m: HarmonicMapSpec, grid: GridSpec, n_eps: int) -> Epsi
             np.concatenate([f(z) for z in rings])
             for f in (cf.h, cf.g, lambda z: z * cf.dh(z), lambda z: z * cf.dg(z))
         )
-    den = hv + eps * gv
+    return every_pair_minimum(hv + eps * gv, zdh + eps * zdg, eps[:, 0], grid, "h + eps g")
+
+
+def every_pair_minimum(den, num, eps, grid: GridSpec, what: str) -> EpsilonScanResult:
+    """The family scan's error rule and minimum from the values (den, num) of
+    every member (rows) at every grid point (columns, radius-major)."""
+    pts = grid_points(grid)
     low = np.abs(den)
     for k, i in enumerate(np.argmin(low, axis=1)):
         if not low[k, i] >= grid.margin_eps:
             raise NearZeroError(
-                f"|h + eps g| = {low[k, i]:.3e} below margin at eps = {complex(eps[k, 0])}, "
+                f"|{what}| = {low[k, i]:.3e} below margin at eps = {complex(eps[k])}, "
                 f"z = {complex(pts[i])}"
             )
-    q = np.real((zdh + eps * zdg) / den)
+    q = np.real(num / den)
     at = np.argmin(q, axis=1)
-    best = q[np.arange(n_eps), at]
+    best = q[np.arange(eps.size), at]
     k = int(np.argmin(best))
     return EpsilonScanResult(
-        float(best[k]), complex(pts[at[k]]), complex(eps[k, 0]), bool(best[k] > -grid.margin_eps)
+        float(best[k]), complex(pts[at[k]]), complex(eps[k]), bool(best[k] > -grid.margin_eps)
     )
 
 
@@ -547,8 +563,8 @@ def eps_outcome(check):
     try:
         with np.errstate(all="ignore"):
             return repr(check())
-    except NearZeroError as exc:
-        return str(exc)
+    except (NearZeroError, ConstraintError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def poked_closed_form(rng) -> HarmonicMapSpec:
@@ -627,3 +643,92 @@ def test_pruned_eps_scan_is_the_full_sampled_scan(
                     n_radii=n_radii, n_angles=n_angles, margin_eps=margin)
     want = eps_outcome(lambda: every_pair_eps_check(m, grid, n_eps))
     assert eps_outcome(lambda: epsilon_starlike_check(m, grid, n_eps)) == want
+
+
+# ------------------------------------------- the pruned transform-family scan
+#
+# transform_family_check evaluates a member on a ring only where its bounds on
+# |F_eps| and Re(e^{-i lam} z F_eps'/F_eps) leave the ring in play.  The
+# reference below evaluates every member on every ring with one ring_values
+# call and the scan's arithmetic, so the two must agree bit for bit.
+
+
+def every_pair_transform_check(H, G, p, grid: GridSpec, n_eps: int, orientation: int):
+    """transform_family_check from the values of every member at every point."""
+    eps = unimodular_samples(n_eps)
+    n = min(H.order, G.order)
+    s = H.coeffs[1 : n + 1] + eps[:, None] * G.coeffs[1 : n + 1]
+    w0 = s[:, 0]
+    degenerate = np.flatnonzero(np.abs(w0) < 1e-9)
+    formed = int(degenerate[0]) if degenerate.size else n_eps
+    result = None
+    if formed:
+        rows = np.zeros((formed, 2, n + 1), dtype=np.complex128)
+        mu = transform_exponent(p, orientation)
+        rows[:, 0, 1:] = pow_rows(s[:formed] * (1.0 / w0[:formed, None]), mu)
+        rows[:, 1] = rows[:, 0] * (np.exp(-1j * orientation * p.lam) * np.arange(n + 1))
+        radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+        values = ring_values(rows.reshape(-1, n + 1), radii, grid.n_angles).reshape(formed, 2, -1)
+        result = every_pair_minimum(values[:, 0], values[:, 1], eps[:formed], grid, "F_eps")
+    if formed < n_eps:
+        raise ConstraintError(
+            f"H + eps G degenerates at eps = {complex(eps[formed])}: "
+            f"linear coefficient {complex(w0[formed]):.3e}"
+        )
+    return result
+
+
+def transform_pruning_input(kind: str, rng, order: int):
+    """(H, G): H normalised, G(0) = 0."""
+    if kind == "random":
+        m = family_map(int(rng.integers(2**32)), order, rng.uniform(0.05, 2.0))
+        return m.h_series(), m.g_series()
+    if kind == "steep":
+        # H = z + c z^k with |c| up to 2: sum |p_j| r^j passes 1 on the outer
+        # rings, which then have no bound, and on those the members are
+        # truncations of a series past its radius of convergence.
+        order = max(order, 2)
+        h = np.zeros(order + 1, dtype=np.complex128)
+        c = rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random())
+        h[1], h[rng.integers(2, order + 1)] = 1, c
+        n = np.arange(1, order + 1)
+        g = np.zeros(order + 1, dtype=np.complex128)
+        g[1:] = 0.1 * (rng.standard_normal(order) + 1j * rng.standard_normal(order)) / n**2
+        return PowerSeries(h), PowerSeries(g)
+    if kind == "parity":
+        c2 = complex(rng.choice([-(1 + 1j), 1 - 1j])) / 0.72
+        return degenerate_pair(c2 * float(rng.choice([1.0, 1 + 1e-12, 0.5])))
+    if kind == "flat":  # G = 0: every member is the same map, all eps tie
+        m = family_map(int(rng.integers(2**32)), order, rng.uniform(0.05, 1.5))
+        return m.h_series(), PowerSeries.zero(order)
+    if kind == "constant":  # F_eps = z: the quotient ties at every point
+        z = PowerSeries.identity(order)
+        return z, z * complex(0.5 * rng.random())
+    # "overflow": one coefficient near the top of the float range.
+    m = family_map(int(rng.integers(2**32)), max(order, 2), 0.5)
+    a = m.a.copy()
+    a[rng.integers(a.size)] = float(rng.choice([1e308, 1e200, 1e154]))
+    return HarmonicMapSpec(a=a, b=m.b, truncation_order=m.truncation_order).h_series(), m.g_series()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["random", "steep", "parity", "flat", "constant", "overflow"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 24),
+       st.sampled_from([8, 24, 64, 256, 2048]), st.integers(1, 6), st.booleans(),
+       st.sampled_from([1e-9, 0.0, 1e-3, 0.05]), st.floats(-1.2, 1.2), st.sampled_from([1, -1]))
+def test_pruned_transform_scan_is_the_full_sampled_scan(
+    kind, seed, order, n_eps, n_angles, n_radii, dense, margin, lam, orientation
+):
+    rng = np.random.default_rng(seed)
+    H, G = transform_pruning_input(kind, rng, order)
+    if kind == "parity" and not dense:
+        grid, n_eps = dataclasses.replace(PARITY_GRID, margin_eps=margin), 4
+    else:
+        r_min = float(rng.uniform(1e-3, 0.6))
+        if dense:  # several blocks, so that the candidates split between them
+            n_radii += BLOCK_POINTS // n_angles
+        grid = GridSpec(r_min=r_min, r_max=float(rng.uniform(r_min + 0.01, 0.995)),
+                        n_radii=n_radii, n_angles=n_angles, margin_eps=margin)
+    p = SpiralParams(lam)
+    want = eps_outcome(lambda: every_pair_transform_check(H, G, p, grid, n_eps, orientation))
+    assert eps_outcome(lambda: transform_family_check(H, G, p, grid, n_eps, orientation)) == want
