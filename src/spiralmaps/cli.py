@@ -25,6 +25,7 @@ from .construct import (
     CombinationWeights,
     ConstraintError,
     DecompositionError,
+    MAX_FAMILY_COEFFS,
     MultiplierSequence,
     catalog,
     catalog_names,
@@ -277,6 +278,8 @@ def _cmd_construct(args) -> int:
         p = p or p_file
         if not F.signed_form:
             raise MapFileError("construct f-epsilon needs a signed-form input map")
+        if args.n_eps * F.truncation_order > MAX_FAMILY_COEFFS:
+            raise argparse.ArgumentTypeError(f"--n-eps x truncation exceeds {MAX_FAMILY_COEFFS}")
         res = transform_family_check(
             F.h_series(), F.g_series(), p,
             grid=_parse_grid(args.grid, args.eps), n_eps=args.n_eps,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import (
-    BLOCK_POINTS,
     ClosedForm,
     GridSpec,
     HarmonicMapSpec,
@@ -32,9 +31,9 @@ from .harmonic import (
     signed_shape,
 )
 from .criteria import (
-    BOUND_ROUNDING,
     EpsilonScanResult,
     SpiralParams,
+    _power_bounds,
     family_scan,
     silverman_check,
     unimodular_samples,
@@ -49,6 +48,12 @@ from .series import (
     pow_rows,
     pow_series,
 )
+
+
+#: Cap on n_eps times the order of a family check: the members' rows take
+#: about 128 bytes per eps and coefficient, so this holds them to about
+#: 512 MB.  Every n_eps up to the cap on samples runs at the default order.
+MAX_FAMILY_COEFFS = 2**22
 
 
 class ConstraintError(ValueError):
@@ -378,10 +383,8 @@ def transform_family_check(
     minimum supports transferring multiplier-bounded coefficients onto a
     spirallike map; a negative one refutes it on the sampled family.  All
     members are raised to mu by one batched recurrence (:func:`pow_rows`) and
-    evaluated with the FFT (:func:`ring_values`), on a ring only where
-    :func:`family_scan` finds that their bounds (:func:`_power_bounds`, from
-    the same coefficients) leave them in play; the result is that of
-    evaluating every sampled member on every ring, bit for bit.
+    scanned by :func:`family_scan`, pruned by :func:`_power_bounds` of their
+    coefficients.  n_eps times the order is at most ``MAX_FAMILY_COEFFS``.
     """
     hc = H.coeffs
     if abs(hc[0]) > NORMALIZATION_TOL or H.order < 1 or abs(hc[1] - 1.0) > NORMALIZATION_TOL:
@@ -390,9 +393,11 @@ def transform_family_check(
         raise NormalizationError("family check needs G(0) = 0")
     if G.order < 1:
         raise ValueError("family check needs G of order at least 1")
+    n = min(H.order, G.order)
+    if n_eps * n > MAX_FAMILY_COEFFS:
+        raise ValueError(f"n_eps x order must be at most {MAX_FAMILY_COEFFS}, got {n_eps} x {n}")
     mu = transform_exponent(p, orientation)
     eps = unimodular_samples(n_eps)
-    n = min(H.order, G.order)
     s = H.coeffs[1 : n + 1] + eps[:, None] * G.coeffs[1 : n + 1]  # (H + eps G) / z
     w0 = s[:, 0]
     degenerate = np.flatnonzero(np.abs(w0) < 1e-9)
@@ -412,12 +417,7 @@ def transform_family_check(
             return out[:, 0], out[:, 1]
 
         def bounds(k, r):
-            mk = np.abs(rows[k, 0, 1:])  # |p_j|, F_eps = z P
-            step = max(1, BLOCK_POINTS // n)  # rings per power table
-            return np.concatenate(
-                [_power_bounds(mk, r[i : i + step], rot.real) for i in range(0, r.size, step)],
-                axis=-1,
-            )
+            return _power_bounds(np.abs(rows[k, 0, 1:]), r, rot.real)  # |p_j|, F_eps = z P
 
         result = family_scan(values, bounds, grid, eps[:formed], "F_eps")
     if formed < n_eps:
@@ -426,34 +426,6 @@ def transform_family_check(
             f"linear coefficient {complex(w0[formed]):.3e}"
         )
     return result
-
-
-def _power_bounds(mag, r, cos_lam: float) -> np.ndarray:
-    """Lower bounds on |F| and on Re(rot z F'/F) over each ring |z| = r for
-    the members F = z P, P = sum p_j z^j, with |p_j| the rows of ``mag``:
-    shape (2, members, rings).  rot = e^{-i s lam}, whose real part is
-    ``cos_lam`` for either orientation s.
-
-    With E = sum j |p_j| r^j, D = |p_0| - sum_{j >= 1} |p_j| r^j and S = |p_0|
-    + sum_{j >= 1} |p_j| r^j, |F| >= r D and Re(rot z F'/F) = cos(lam) +
-    Re(rot z P'/P) >= cos(lam) - E/D wherever D > 0.  Each bound is less a
-    rounding allowance relative to what a member's rounding can reach there,
-    r S and (1 + E/D) S/D; where D <= 0 or a bound is not finite it is -inf.
-    """
-    j = np.arange(mag.shape[1])[:, None]
-    power = r**j
-    # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
-    # about 0.4 MB of resident memory that nothing else here needs.
-    tail = np.einsum("mj,jr->mr", mag[:, 1:], power[1:])
-    dist, size = mag[:, :1] - tail, mag[:, :1] + tail
-    slope = np.einsum("mj,jr->mr", mag, j * power)
-    with np.errstate(all="ignore"):
-        ratio = slope / dist
-        out = np.stack([
-            r * (dist - BOUND_ROUNDING * size),
-            cos_lam - ratio - BOUND_ROUNDING * (1 + ratio) * size / dist,
-        ])
-    return np.where((dist > 0) & np.isfinite(out), out, -np.inf)
 
 
 # -------------------------------------------------------------------- catalog

@@ -26,6 +26,7 @@ from .harmonic import (
     GridSpec,
     HarmonicMapSpec,
     ScanResult,
+    _block_rings,
     d_operator,
     dg_values,
     dh_values,
@@ -33,7 +34,6 @@ from .harmonic import (
     g_values,
     grid_axes,
     h_values,
-    ring_blocks,
     ring_values,
 )
 
@@ -339,7 +339,7 @@ def _family_result(low, low_at, best, best_at, eps, margin: float, what: str):
     """The scan's outcome from its running minima: :class:`NearZeroError` for
     the first eps whose |den| is not above ``margin`` (NaN included), else the
     minimum over the family, first minimiser eps-major."""
-    near = np.flatnonzero(~(low >= margin))
+    near = np.flatnonzero(~(low > margin))
     if near.size:
         k = near[0]
         raise NearZeroError(
@@ -355,13 +355,13 @@ def _family_result(low, low_at, best, best_at, eps, margin: float, what: str):
 def _merge_family(minima, which, den, num, z, margin: float) -> None:
     """Merge the values (den, num) of the members ``which`` on the points
     ``z`` into the running minima; Re(num/den) only for the members whose
-    |den| is still above ``margin``."""
+    |den| is still above ``margin``, formed in ``num``."""
     low, low_at, best, best_at = minima
     _merge_row_minima(low, low_at, which, np.abs(den), z)
-    clear = low[which] >= margin
+    clear = low[which] > margin
     if not clear.all():
         which, den, num = which[clear], den[clear], num[clear]
-    _merge_row_minima(best, best_at, which, np.real(num / den), z)
+    _merge_row_minima(best, best_at, which, np.divide(num, den, out=num).real, z)
 
 
 def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
@@ -369,78 +369,104 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
 
     ``values(which, r)`` returns the values (den, num) of the members
     ``which`` (indices into ``eps``) on the rings of radii ``r``, each of
-    shape (members, rings * n_angles), radius-major.  ``bounds(which, r)``
-    returns lower bounds on |den| and on Re(num/den) over each of those
-    rings, each of shape (members, rings), less a rounding allowance: at most
-    every computed value there, and -inf (or NaN) where none holds.
+    shape (members, rings * n_angles), radius-major, which the scan may
+    overwrite.  ``bounds(which, r)`` returns lower bounds on |den| and on
+    Re(num/den) over each ring, each of shape (members, rings), less a
+    rounding allowance: at most every computed value, -inf (or NaN) for none.
 
-    The outermost ring is evaluated first, for every eps: its minimum gives
-    ``top``, a value some member attains.  The scan then walks the rings
-    radius-major and, per chunk of eps and block of rings, evaluates only the
-    pairs whose bound on Re(num/den) does not clear ``top`` (NaN included) or
-    whose bound on |den| does not clear margin_eps; ``top`` falls with the
-    running minima, and the outer ring's minima are merged last, at their
-    place.  No skipped pair can hold the minimum, a tie with it, a NaN or a
-    near-zero member, so the result is that of the full sampled scan bit for
-    bit.  Chunks of eps times blocks of rings hold about ``BLOCK_POINTS``
-    values, and only per-eps running minima are kept, so memory grows with
-    neither n_eps nor the grid.  Raises :class:`NearZeroError` naming eps
-    and the point for the first eps whose |den| is not above margin_eps,
-    ``what`` naming the denominator; Re(num/den) is not formed for such an
-    eps.  The witness is the first minimiser, eps-major, then radius-major.
+    The ring with the lowest bound on Re(num/den) over every eps (NaN before
+    any number, the outermost on ties) is evaluated first for every eps: its
+    minimum gives ``top``, a value some member attains.  Chunk by chunk of
+    eps, the other rings are then evaluated only where their bounds over
+    every eps do not clear ``top`` (which falls with the running minima) or
+    margin_eps.  The minima of the rings before the first ring, of the first
+    and of those after it are merged in that order.  No skipped ring can hold
+    the minimum, a tie with it, a NaN or a near-zero member, so the result is
+    that of the full sampled scan bit for bit, in memory of about
+    ``BLOCK_POINTS`` values plus per-ring and per-eps arrays.  Raises
+    :class:`NearZeroError` naming eps and the point for the first eps whose
+    |den| is not above margin_eps, ``what`` naming the denominator; the
+    quotient is formed only where |den| is.  The witness is the first
+    minimiser, eps-major, then radius-major.
     """
     n, margin = eps.size, grid.margin_eps
     chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
-    step = max(1, BLOCK_POINTS // (chunk * grid.n_angles))  # rings per evaluation
+    # Rings per evaluation: at most BLOCK_POINTS // 2 points (or one ring),
+    # where a closed form gives the bits it gives ring by ring.
+    step = max(1, BLOCK_POINTS // (max(chunk, 2) * grid.n_angles))
     span = max(1, BLOCK_POINTS // chunk)  # rings per call of bounds
     chunks = [np.arange(k, min(k + chunk, n)) for k in range(0, n, chunk)]
     radii, angles = grid_axes(grid)
-    outer = _family_minima(n, grid)
+    lowest = np.full((2, radii.size), np.inf)  # per ring, over every eps
     for which in chunks:
-        _merge_family(outer, which, *values(which, radii[-1:]), radii[-1] * angles, margin)
-    top = np.fmin.reduce(outer[2])
-    minima = _family_minima(n, grid)
-    # Members are merged independently, so each chunk walks the inner rings
-    # radius-major on its own.
-    inner = radii[:-1]
+        for s in range(0, radii.size, span):
+            low = np.asarray(bounds(which, radii[s : s + span])).min(axis=1)
+            np.minimum(lowest[:, s : s + span], low, out=lowest[:, s : s + span])
+    ring_low, ring_bound = lowest
+    k = radii.size - 1 - int(np.argmin(ring_bound[::-1]))  # NaN first
+    first = _family_minima(n, grid)
     for which in chunks:
-        for s in range(0, inner.size, span):
-            r = inner[s : s + span]
-            low_bound, bound = bounds(which, r)
-            rings = np.flatnonzero((~(bound > top) | ~(low_bound > margin)).any(axis=0))
-            for g in range(0, rings.size, step):
-                i = rings[g : g + step]
-                need = ~(bound[:, i] > top) | ~(low_bound[:, i] > margin)  # top may have fallen
-                rows, i = which[need.any(axis=1)], i[need.any(axis=0)]
-                if rows.size:
-                    z = (r[i, None] * angles).ravel()
-                    _merge_family(minima, rows, *values(rows, r[i]), z, margin)
-                    top = np.fmin(top, np.fmin.reduce(minima[2][rows]))
+        _merge_family(first, which, *values(which, radii[k : k + 1]), radii[k] * angles, margin)
+    top = np.fmin.reduce(first[2])
+    # Members are merged independently, so each chunk walks the rings on its
+    # own, those before the first ring and those after it into minima of
+    # their own.  A ring whose bounds clear for every eps stays cleared as
+    # top falls.
+    minima, after = _family_minima(n, grid), _family_minima(n, grid)
+    for which in chunks:
+        live = np.flatnonzero(~(ring_bound > top) | ~(ring_low > margin))
+        for part, into in ((live[live < k], minima), (live[live > k], after)):
+            for g in range(0, part.size, step):
+                i = part[g : g + step]
+                i = i[~(ring_bound[i] > top) | ~(ring_low[i] > margin)]  # top may have fallen
+                if i.size:
+                    z = (radii[i, None] * angles).ravel()
+                    _merge_family(into, which, *values(which, radii[i]), z, margin)
+                    top = np.fmin(top, np.fmin.reduce(into[2][which]))
     everyone = np.arange(n)
-    low, low_at, best, best_at = minima
-    _merge_minima(low, low_at, everyone, outer[0], outer[1])
-    _merge_minima(best, best_at, everyone, outer[2], outer[3])
-    return _family_result(low, low_at, best, best_at, eps, margin, what)
+    for later in (first, after):  # radius-major
+        for v, at in ((0, 1), (2, 3)):
+            _merge_minima(minima[v], minima[at], everyone, later[v], later[at])
+    return _family_result(*minima, eps, margin, what)
 
 
-#: Rounding allowance of the family scans' bounds (the Mobius bounds here, the
-#: ring bounds of ``construct.transform_family_check``), relative to the size
-#: of what they bound: about 4,500 ulps, where each bound and each sampled
+#: Rounding allowance of the family scans' bounds, relative to the size of
+#: what they bound: about 4,500 ulps, where each bound and each sampled
 #: member carries a few dozen.
 BOUND_ROUNDING = 1e-12
 
 
-def _merge_members(best, at, eps, values, z) -> None:
-    """Merge ``values(e)``, the values of the members ``e`` (a column of eps)
-    on the points ``z``, into the running minima, in chunks of eps of about
-    ``BLOCK_POINTS`` values."""
-    if not z.size:
-        return
-    n = eps.size
-    chunk = min(n, max(1, BLOCK_POINTS // z.size))
-    for k in range(0, n, chunk):
-        which = np.arange(k, min(k + chunk, n))
-        _merge_row_minima(best, at, which, values(eps[k : k + chunk, None]), z)
+def _power_bounds(mag, r, cos_lam: float, size=None) -> np.ndarray:
+    """Lower bounds on |F| and on Re(rot z F'/F) over each ring |z| = r for
+    the members F = z P, P = sum p_j z^j, with |p_j| the rows of ``mag``:
+    shape (2, members, rings).  rot = e^{-i s lam}, whose real part is
+    ``cos_lam`` for either orientation s.
+
+    With E = sum j |p_j| r^j and D = |p_0| - sum_{j >= 1} |p_j| r^j, |F| >= r D
+    and Re(rot z F'/F) >= cos(lam) - E/D where D > 0, else -inf (as where not
+    finite), each less the allowance T or (1 + E/D) T / (r D), where
+    T = r sum_j s_j r^j over the rows s_j of ``size`` (default ``mag``).
+    """
+    j = np.arange(mag.shape[1])[:, None]
+    step = max(1, BLOCK_POINTS // j.size)  # rings per power table
+    out = np.empty((2, mag.shape[0], r.size))
+    for s in range(0, r.size, step):
+        ri = r[s : s + step]
+        power = ri**j
+        # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
+        # about 0.4 MB of resident memory that nothing else here needs.
+        tail = np.einsum("mj,jr->mr", mag[:, 1:], power[1:])
+        dist = mag[:, :1] - tail
+        slope = np.einsum("mj,jr->mr", mag, j * power)
+        total = ri * (mag[:, :1] + tail if size is None else np.einsum("mj,jr->mr", size, power))
+        with np.errstate(all="ignore"):
+            ratio = slope / dist
+            bound = np.stack([
+                ri * dist - BOUND_ROUNDING * total,
+                cos_lam - ratio - BOUND_ROUNDING * (1 + ratio) * total / (ri * dist),
+            ])
+        out[:, :, s : s + step] = np.where((dist > 0) & np.isfinite(bound), bound, -np.inf)
+    return out
 
 
 def epsilon_starlike_check(
@@ -451,73 +477,77 @@ def epsilon_starlike_check(
     Samples n_eps equally spaced unimodular eps and returns the minimum of
     Re(z (h + eps g)' / (h + eps g)) over the family and the grid, or raises
     :class:`NearZeroError` for the first eps whose |h + eps g| is not above
-    margin_eps, as :func:`family_scan` does.  The family quantifier is
-    sampled, so a positive result is heuristic while a negative one is a
-    genuine refutation.  A series-backed map is evaluated ring by ring with
-    the FFT (:func:`ring_values`), a closed form per block of rings.
-
-    With A = z h', B = z g', C = h and D = g at a point, the member quotient
-    w(eps) = (A + eps B)/(C + eps D) is a Mobius map of eps, which sends
-    |eps| = 1 to the circle with centre (A conj C - B conj D)/(|C|^2 - |D|^2)
-    and radius |AD - BC| / ||C|^2 - |D|^2|.  So every sampled value is at least
-    Re(centre) - radius, and every |C + eps D| at least ||C| - |D||.  The scan
-    evaluates the sampled members only where these bounds, less a rounding
-    allowance, do not clear margin_eps and the smallest value found so far
-    (the value at the smallest bound of each block first); a non-finite bound
-    makes a point a candidate.  No other point can hold the minimum, a tie
-    with it, a NaN or a near-zero member, so the result is that of the full
-    sampled scan bit for bit.  A constant quotient ties everywhere, and there
-    the scan evaluates every point, in chunks of about ``BLOCK_POINTS`` values.
+    margin_eps.  The family quantifier is sampled, so a positive result is
+    heuristic while a negative one is a genuine refutation.  The members are
+    formed from h, g, z h', z g' on a ring (the FFT of a series, or a closed
+    form) and scanned by :func:`family_scan`, pruned by :func:`_power_bounds`
+    of h + eps g at lam = 0 with an allowance relative to the fields' size,
+    sum (1 + n)(|h_n| + |g_n|) r^n, which cancelling coefficients of h + eps g
+    cannot shrink.  Where that gives no bound (always for a closed form) a
+    ring's floor for every eps takes its place: at a point eps -> (z h' +
+    eps z g')/(h + eps g) is a Mobius map, so each member is at least its
+    circle's Re(centre) - radius (:func:`_quotient_bound`), and |h + eps g|
+    at least ||h| - |g||.  The result is that of the full sampled scan.
     """
     eps = unimodular_samples(n_eps)
-    minima = _family_minima(n_eps, grid)
-    rows = None
-    if m.closed_form is None:
-        h, g = m.h_coefficients(), m.g_coefficients()
-        n = np.arange(h.size)
-        rows = np.stack([h, g, n * h, n * g])  # h, g, z h', z g'
+    radii, angles = grid_axes(grid)
+    h, g = m.h_coefficients(), m.g_coefficients()
+    n = np.arange(h.size)
+    rows = np.stack([h, g, n * h, n * g])  # h, g, z h', z g'
+    size = ((1 + n) * (np.abs(h) + np.abs(g)))[None, 1:]  # over P = (h + eps g) / z
 
-    def values(r, z):
-        if rows is None:
-            return h_values(m, z), g_values(m, z), z * dh_values(m, z), z * dg_values(m, z)
-        return ring_values(rows, r, grid.n_angles)
+    def fields(r):
+        # A closed form on at most BLOCK_POINTS // 2 points (or one ring):
+        # numpy computes an operator whose operand is a temporary of 256 KiB
+        # (BLOCK_POINTS complex values) or more in place, swapping the
+        # operands of a product, and a complex product rounds differently
+        # then.  So a closed form gives the bits it gives on one ring.
+        if m.closed_form is None:
+            return ring_values(rows, r, grid.n_angles)
+        z = (r[:, None] * angles).ravel()
+        return h_values(m, z), g_values(m, z), z * dh_values(m, z), z * dg_values(m, z)
 
-    # Blocks of at most BLOCK_POINTS // 2 points: numpy computes an operator
-    # whose operand is a temporary of 256 KiB (BLOCK_POINTS complex values) or
-    # more in place, swapping the operands of a product, and a complex product
-    # rounds differently then.  So a closed form gives the bits it gives on
-    # one ring (of fewer than BLOCK_POINTS angles) on every grid.
-    for r, z in ring_blocks(grid, 2):
-        # The block's values die with the call, before the next block's exist.
-        _eps_block(minima, eps, grid.margin_eps, z, *values(r, z))
-    return _family_result(*minima, eps, grid.margin_eps, "h + eps g")
+    # One workspace for the members of every call: family_scan asks for at
+    # most BLOCK_POINTS values at a time, or one ring.
+    work = np.empty((2, max(BLOCK_POINTS, grid.n_angles)), dtype=np.complex128)
 
+    def values(which, r):
+        hv, gv, zdh, zdg = fields(r)
+        den, num = work[:, : which.size * hv.size].reshape(2, which.size, hv.size)
+        # eps written out in full: numpy multiplies by a broadcast eps several
+        # times slower, to the same bits.
+        num[...] = eps[which, None]
+        np.add(hv, np.multiply(num, gv, out=den), out=den)
+        np.add(zdh, np.multiply(num, zdg, out=num), out=num)
+        return den, num
 
-def _eps_block(minima, eps, margin: float, z, hv, gv, zdh, zdg) -> None:
-    """Merge one block of rings into the running minima of
-    :func:`epsilon_starlike_check`, evaluating members only at the points
-    its bounds leave."""
-    low, low_at, best, best_at = minima
-    with np.errstate(all="ignore"):
-        ah, ag = np.abs(hv), np.abs(gv)
-        near = ~(np.abs(ah - ag) - margin > BOUND_ROUNDING * (ah + ag))
-    i = np.flatnonzero(near)
-    hi, gi = hv[i], gv[i]
-    _merge_members(low, low_at, eps, lambda e: np.abs(hi + e * gi), z[i])
-    if not (low >= margin).all():
-        return  # the scan ends in NearZeroError; no quotient is needed
-    bound = _quotient_bound(zdh, zdg, hv, gv, ah, ag)
+    floors, done = np.empty((2, radii.size)), np.zeros(radii.size, dtype=bool)
 
-    def quotients(i):
-        hi, gi, dhi, dgi = hv[i], gv[i], zdh[i], zdg[i]
-        return lambda e: np.real((dhi + e * dgi) / (hi + e * gi))
+    def bounds(which, r):
+        out = np.full((2, which.size, r.size), -np.inf)
+        if m.closed_form is None:
+            chunk = max(1, BLOCK_POINTS // h.size)  # members per coefficient table
+            for k in range(0, which.size, chunk):
+                p = np.abs(h[1:] + eps[which[k : k + chunk], None] * g[1:])
+                out[:, k : k + chunk] = _power_bounds(p, r, 1.0, size)
+        # The rings' floors where the coefficients give no bound, each ring's
+        # computed once.
+        none = out == -np.inf
+        i = np.flatnonzero(none.any(axis=(0, 1)))
+        at = np.searchsorted(radii, r[i])  # r holds grid radii
+        new, step = at[~done[at]], _block_rings(grid, 2)
+        for s in range(0, new.size, step):
+            j = new[s : s + step]
+            hv, gv, zdh, zdg = (v.reshape(j.size, -1) for v in fields(radii[j]))
+            with np.errstate(all="ignore"):
+                ah, ag = np.abs(hv), np.abs(gv)
+                floors[0, j] = (np.abs(ah - ag) - BOUND_ROUNDING * (ah + ag)).min(axis=1)
+                floors[1, j] = _quotient_bound(zdh, zdg, hv, gv, ah, ag).min(axis=1)
+        done[new] = True
+        out[:, :, i] = np.where(none[:, :, i], floors[:, None, at], out[:, :, i])
+        return out
 
-    probe = quotients([int(np.argmin(np.fmin(bound, np.inf)))])(eps[:, None])
-    top = np.minimum(best.min(), probe.min())  # a value some member attains
-    # The near points too: with margin_eps = 0 a sampled member may vanish
-    # there, and its quotient obeys no bound.
-    i = np.flatnonzero(near | ~(bound > top))
-    _merge_members(best, best_at, eps, quotients(i), z[i])
+    return family_scan(values, bounds, grid, eps, "h + eps g")
 
 
 def _quotient_bound(A, B, C, D, aC, aD) -> np.ndarray:

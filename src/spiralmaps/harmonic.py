@@ -21,14 +21,11 @@ Horner (:meth:`PowerSeries.evaluate`) serves only points off the grid.  When
 n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
-at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  The
-unimodular-family scans (``criteria.family_scan`` and
-``criteria.epsilon_starlike_check``) evaluate series-backed members with the
-FFT too, in blocks of rings (and chunks of members) of about ``BLOCK_POINTS``
-values whatever the number of members.  Both evaluate members only where
-their bounds leave them in play: the eps scan of h + eps g at the points its
-Mobius bounds leave, the transform-family scan on the rings its per-ring
-bounds on |F_eps| and Re(z F_eps'/F_eps) leave.
+at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  Both
+unimodular-family checks run one scan, ``criteria.family_scan``: it evaluates
+members (series-backed ones with the FFT too) in chunks times blocks of rings
+of about ``BLOCK_POINTS`` values, and on a ring only where lower bounds on the
+member there leave it in play.
 """
 
 from __future__ import annotations
@@ -465,7 +462,7 @@ class GridField:
         self._merge("sense_preserving", jac, z, eps)
         a = np.abs(f, out=jac)
         self._merge("nonvanishing", a, z, eps)
-        if self.nonvanishing.min_value >= eps:
+        if self.nonvanishing.min_value > eps:
             self._merge("pointwise", np.divide(rot_df, f, out=c).real, z, -eps)
         else:
             self.pointwise = None

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ class TestVerify:
         )
         assert rc == 2
 
+    def test_exact_zero_at_margin_zero_is_not_applicable(self, tmp_path, capsys):
+        # h = z - 16 z^5 vanishes at the grid point z = 1/2.  At --eps 0 a zero
+        # |f| is not above the margin, so the quotient is not formed: no numpy
+        # warning and no non-finite number in the report.
+        path = tmp_path / "zero.json"
+        path.write_text('{"lambda": 0, "truncation": 5, "signed_form": false, '
+                        '"a": [[0,0],[0,0],[0,0],[-16,0]], "b": []}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(
+                ["verify", str(path), "--grid", "0.125,0.5,4,8", "--eps", "0"], capsys
+            )
+        rep = parse_report(out)
+        assert (rc, err) == (1, "")
+        assert rep["nonvanishing_min"] == "0" and rep["nonvanishing_pass"] == "false"
+        assert rep["pointwise_applicable"] == "false"
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(["verify", "/nonexistent.json"], capsys)
         assert rc == 2
@@ -116,6 +134,8 @@ class TestVerify:
     def test_exit_code_matches_report(self, f1_file, f2_file, identity_file, tmp_path, capsys):
         huge = tmp_path / "huge.json"
         huge.write_text('{"lambda": 0.3, "truncation": 100000000000, "a": [], "b": []}')
+        long = tmp_path / "long.json"
+        long.write_text('{"lambda": 0.3, "truncation": 4096, "signed_form": true, "a": [], "b": []}')
         for path, expected in ((f1_file, 1), (f2_file, 0), (identity_file, 0)):
             rc, out, _ = run_cli(["verify", path], capsys)
             rep = parse_report(out)
@@ -128,6 +148,7 @@ class TestVerify:
             ["plot", identity_file, "--samples", "2000000000"],
             ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "0"],
             ["construct", "f-epsilon", "--from", identity_file, "--n-eps", "2000000000"],
+            ["construct", "f-epsilon", "--from", str(long), "--n-eps", "65536"],
             ["verify", identity_file, "--grid", "0.001,0.99,1,100000000"],
             ["verify", identity_file, "--grid", "0.001,0.99,1000000000,8"],
             ["verify", identity_file, "--grid", "0.001,0.99,1,16777216"],

@@ -378,6 +378,13 @@ class TestTransformFamily:
                 PowerSeries([0.5, 1.0]), PowerSeries.zero(1), PI4, GridSpec(n_radii=3, n_angles=8)
             )
 
+    def test_family_size_is_capped(self):
+        # 65,536 eps at order 64 is the cap; one more coefficient is refused
+        # before any member is built (about 32 GiB at order 4096).
+        H, G = PowerSeries.identity(65), PowerSeries.zero(65)
+        with pytest.raises(ValueError, match="n_eps x order"):
+            transform_family_check(H, G, PI4, GridSpec(n_radii=3, n_angles=8), n_eps=65536)
+
 
 class TestCatalog:
     def test_names(self):

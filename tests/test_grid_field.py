@@ -277,7 +277,7 @@ def sequential_family(members, pts, n_eps, margin, what):
         den, num, s = members(eps)
         scale = max(scale, s)
         k = int(np.argmin(np.abs(den)))
-        if abs(den[k]) < margin:
+        if abs(den[k]) <= margin:
             raise NearZeroError(
                 f"|{what}| = {abs(den[k]):.3e} below margin at eps = {eps}, z = {complex(pts[k])}"
             )
@@ -445,6 +445,24 @@ def test_eps_near_zero_error_matches_the_per_eps_loop():
         assert raised(lambda: epsilon_starlike_check(m, PARITY_GRID, n_eps=4)) == want
 
 
+def test_families_at_margin_zero_raise_for_an_exact_zero():
+    # h = z - 16 z^5 vanishes at the grid point z = 1/2.  At margin_eps = 0 a
+    # zero |den| is not above the margin, so both checks name it, and neither
+    # divides by it.
+    m = HarmonicMapSpec(a=[0, 0, 0, -16], b=[], truncation_order=5)
+    grid = GridSpec(r_min=0.125, r_max=0.5, n_radii=4, n_angles=8, margin_eps=0.0)
+    H, G, p = m.h_series(), m.g_series(), SpiralParams(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (
+            lambda: epsilon_starlike_check(m, grid, 64),
+            lambda: transform_family_check(H, G, p, grid, 64),
+        ):
+            with pytest.raises(NearZeroError, match=r"= 0\.000e\+00 below margin at "
+                               r"eps = \(1\+0j\), z = \(0\.5\+0j\)"):
+                check()
+
+
 def test_family_nan_values_are_not_skipped_into_a_pass():
     # Re(num/den) is NaN everywhere: the first point and eps, and a failure.
     m = HarmonicMapSpec(a=[1e308], b=[0.5], truncation_order=2)
@@ -497,6 +515,31 @@ def test_exact_family_ties_across_blocks_keep_the_first_point():
     assert res.witness == complex(grid.r_min) and res.witness_eps == 1 + 0j
 
 
+@pytest.mark.parametrize("cut", [0, 2, 3])
+def test_family_ties_merge_the_first_ring_at_its_place(cut):
+    # Every member reads Re(num/den) = 1 on the rings before ``cut`` and 0
+    # from it on.  The bounds are lowest on the inner ring 2, which the scan
+    # evaluates first; merged at its place, the witness is the first point of
+    # ring ``cut`` and the first eps, as a radius-major scan gives.
+    grid = GridSpec(r_min=0.1, r_max=0.9, n_radii=5, n_angles=8)
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    eps, evaluated = unimodular_samples(3), []
+
+    def values(k, r):
+        i = np.searchsorted(radii, r)
+        evaluated.append(i.tolist())
+        num = np.repeat(np.where(i < cut, 1.0, 0.0), grid.n_angles).astype(np.complex128)
+        return np.ones((k.size, num.size), dtype=np.complex128), np.tile(num, (k.size, 1))
+
+    def bounds(k, r):
+        low = np.full((k.size, r.size), 0.5)
+        return low, np.broadcast_to(np.where(np.searchsorted(radii, r) == 2, -1.0, 0.0), low.shape)
+
+    res = family_scan(values, bounds, grid, eps, "den")
+    assert evaluated[0] == [2]
+    assert (res.min_value, res.witness, res.witness_eps) == (0.0, complex(radii[cut]), eps[0])
+
+
 def test_family_peak_memory_is_flat_in_eps_and_radii():
     p = SpiralParams(math.pi / 4)
     m = random_sufficient_map(np.random.default_rng(7), p, order=64, n_terms=32)
@@ -544,7 +587,7 @@ def every_pair_minimum(den, num, eps, grid: GridSpec, what: str) -> EpsilonScanR
     pts = grid_points(grid)
     low = np.abs(den)
     for k, i in enumerate(np.argmin(low, axis=1)):
-        if not low[k, i] >= grid.margin_eps:
+        if not low[k, i] > grid.margin_eps:
             raise NearZeroError(
                 f"|{what}| = {low[k, i]:.3e} below margin at eps = {complex(eps[k])}, "
                 f"z = {complex(pts[i])}"
@@ -616,6 +659,13 @@ def pruning_input(kind: str, rng, order: int, n_eps: int) -> HarmonicMapSpec:
         # h + eps g = (1 + eps c) z: the quotient is 1 at every point for every eps.
         c = 0.5 * cmath.exp(2j * math.pi * rng.random()) if rng.random() < 0.5 else 0.0
         return HarmonicMapSpec(a=[], b=[c], truncation_order=order)
+    if kind == "truncated":
+        # Catalog coefficients without their closed form: the coefficient
+        # bounds are -inf on the outer rings, so the rings' Mobius floors and
+        # the lowest-bound first ring do the pruning.
+        name = str(rng.choice(["koebe", "harmonic_koebe", "half_plane", "f4"]))
+        c = catalog(name, order=int(rng.integers(8, 65)))
+        return HarmonicMapSpec(a=c.a, b=c.b, truncation_order=c.truncation_order)
     if kind == "catalog":
         name = str(rng.choice(["koebe", "harmonic_koebe", "half_plane", "f4", "f1", "f3", "f7"]))
         return catalog(name, p=SpiralParams(rng.uniform(-1.2, 1.2)), alpha=0.5)
@@ -623,7 +673,8 @@ def pruning_input(kind: str, rng, order: int, n_eps: int) -> HarmonicMapSpec:
 
 
 PRUNING_KINDS = st.sampled_from(
-    ["random", "ring", "near_ring", "between", "overflow", "constant", "catalog", "poked"]
+    ["random", "ring", "near_ring", "between", "overflow", "constant", "catalog", "truncated",
+     "poked"]
 )
 
 
