@@ -27,13 +27,13 @@ from .harmonic import (
     HarmonicMapSpec,
     identity_map,
     ring_blocks,
+    ring_bounds,
     ring_values,
     signed_shape,
 )
 from .criteria import (
     EpsilonScanResult,
     SpiralParams,
-    _power_bounds,
     family_scan,
     silverman_check,
     unimodular_samples,
@@ -383,7 +383,7 @@ def transform_family_check(
     minimum supports transferring multiplier-bounded coefficients onto a
     spirallike map; a negative one refutes it on the sampled family.  All
     members are raised to mu by one batched recurrence (:func:`pow_rows`) and
-    scanned by :func:`family_scan`, pruned by :func:`_power_bounds` of their
+    scanned by :func:`family_scan`, pruned by :func:`ring_bounds` of their
     coefficients.  n_eps times the order is at most ``MAX_FAMILY_COEFFS``.
     """
     hc = H.coeffs
@@ -417,7 +417,8 @@ def transform_family_check(
             return out[:, 0], out[:, 1]
 
         def bounds(k, r):
-            return _power_bounds(np.abs(rows[k, 0, 1:]), r, rot.real)  # |p_j|, F_eps = z P
+            p = np.abs(rows[k, 0, 1:])  # |p_j|, F_eps = z P
+            return ring_bounds(p, r, rot, size=p, count=2)
 
         result = family_scan(values, bounds, grid, eps[:formed], "F_eps")
     if formed < n_eps:

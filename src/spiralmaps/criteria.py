@@ -22,6 +22,7 @@ import numpy as np
 
 from .harmonic import (
     BLOCK_POINTS,
+    BOUND_ROUNDING,
     GridField,
     GridSpec,
     HarmonicMapSpec,
@@ -34,6 +35,7 @@ from .harmonic import (
     g_values,
     grid_axes,
     h_values,
+    ring_bounds,
     ring_values,
 )
 
@@ -430,45 +432,6 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     return _family_result(*minima, eps, margin, what)
 
 
-#: Rounding allowance of the family scans' bounds, relative to the size of
-#: what they bound: about 4,500 ulps, where each bound and each sampled
-#: member carries a few dozen.
-BOUND_ROUNDING = 1e-12
-
-
-def _power_bounds(mag, r, cos_lam: float, size=None) -> np.ndarray:
-    """Lower bounds on |F| and on Re(rot z F'/F) over each ring |z| = r for
-    the members F = z P, P = sum p_j z^j, with |p_j| the rows of ``mag``:
-    shape (2, members, rings).  rot = e^{-i s lam}, whose real part is
-    ``cos_lam`` for either orientation s.
-
-    With E = sum j |p_j| r^j and D = |p_0| - sum_{j >= 1} |p_j| r^j, |F| >= r D
-    and Re(rot z F'/F) >= cos(lam) - E/D where D > 0, else -inf (as where not
-    finite), each less the allowance T or (1 + E/D) T / (r D), where
-    T = r sum_j s_j r^j over the rows s_j of ``size`` (default ``mag``).
-    """
-    j = np.arange(mag.shape[1])[:, None]
-    step = max(1, BLOCK_POINTS // j.size)  # rings per power table
-    out = np.empty((2, mag.shape[0], r.size))
-    for s in range(0, r.size, step):
-        ri = r[s : s + step]
-        power = ri**j
-        # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
-        # about 0.4 MB of resident memory that nothing else here needs.
-        tail = np.einsum("mj,jr->mr", mag[:, 1:], power[1:])
-        dist = mag[:, :1] - tail
-        slope = np.einsum("mj,jr->mr", mag, j * power)
-        total = ri * (mag[:, :1] + tail if size is None else np.einsum("mj,jr->mr", size, power))
-        with np.errstate(all="ignore"):
-            ratio = slope / dist
-            bound = np.stack([
-                ri * dist - BOUND_ROUNDING * total,
-                cos_lam - ratio - BOUND_ROUNDING * (1 + ratio) * total / (ri * dist),
-            ])
-        out[:, :, s : s + step] = np.where((dist > 0) & np.isfinite(bound), bound, -np.inf)
-    return out
-
-
 def epsilon_starlike_check(
     m: HarmonicMapSpec, grid: GridSpec, n_eps: int = 64
 ) -> EpsilonScanResult:
@@ -480,7 +443,7 @@ def epsilon_starlike_check(
     margin_eps.  The family quantifier is sampled, so a positive result is
     heuristic while a negative one is a genuine refutation.  The members are
     formed from h, g, z h', z g' on a ring (the FFT of a series, or a closed
-    form) and scanned by :func:`family_scan`, pruned by :func:`_power_bounds`
+    form) and scanned by :func:`family_scan`, pruned by :func:`ring_bounds`
     of h + eps g at lam = 0 with an allowance relative to the fields' size,
     sum (1 + n)(|h_n| + |g_n|) r^n, which cancelling coefficients of h + eps g
     cannot shrink.  Where that gives no bound (always for a closed form) a
@@ -529,7 +492,7 @@ def epsilon_starlike_check(
             chunk = max(1, BLOCK_POINTS // h.size)  # members per coefficient table
             for k in range(0, which.size, chunk):
                 p = np.abs(h[1:] + eps[which[k : k + chunk], None] * g[1:])
-                out[:, k : k + chunk] = _power_bounds(p, r, 1.0, size)
+                out[:, k : k + chunk] = ring_bounds(p, r, size=size, count=2)
         # The rings' floors where the coefficients give no bound, each ring's
         # computed once.
         none = out == -np.inf

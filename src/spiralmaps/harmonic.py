@@ -16,7 +16,22 @@ is > -eps.  The witness is the first grid point, in radius-major order, that
 attains the minimum, or the first NaN (which fails), as for ``np.argmin``.
 
 :class:`GridField` walks the grid in blocks of rings and feeds one scan
-kernel: a series-backed map through the FFT, a closed form directly.
+kernel: a series-backed map through the FFT, a closed form directly.  It
+evaluates a closed form on every ring, and a series-backed map only on the
+rings where lower bounds from its coefficient sums do not clear the minima
+found so far.  On |z| = r, with S0 = |b_1| + sum_{n >= 2} (|a_n| + |b_n|)
+r^(n-1), D = 1 - S0, E = sum (n - 1)|a_n| r^(n-1) + sum (n + 1)|b_n|
+r^(n-1), Sa = sum_{n >= 2} n |a_n| r^(n-1) and Sb = sum n |b_n| r^(n-1):
+|f| >= r D, J >= max(1 - Sa, 0)^2 - Sb^2, Re(phase Df/f) >= cos(lam) - E/D
+where D > 0, and the margin is at least M = r (B - sum A_n (|a_n| + |b_n|)
+r^(n-1)) >= r (B - 2 (S0 + Sa + Sb)), with also |f| >= M/2 and
+Re(phase Df/f) >= M / (2 r (1 + S0)) where M > 0 (:func:`ring_bounds`).
+Each bound is less a rounding allowance, ``BOUND_ROUNDING`` times the size
+sum T = sum (1 + n)(|h_n| + |g_n|) r^n (times (T/r)^2 for J and
+(1 + E/D) T / (r D) for the quotient).  The scan first evaluates the rings
+of each quantity's lowest bound, ties included, then the other rings
+radius-major, and merges each ring's minima at its radius-major place, so
+its results are those of evaluating every ring, bit for bit.
 Horner (:meth:`PowerSeries.evaluate`) serves only points off the grid.  When
 n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
@@ -386,8 +401,10 @@ def field_rows(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     """f, Df/z and P/z on the rings |z| = r for r in ``radii``, from the
     :func:`field_rows` ``rows``: shape (3, R * n_angles), radius-major like
-    :func:`grid_points`.  ``spectrum``, a complex (3, R, n_angles) array, is
-    overwritten.
+    :func:`grid_points`, written over ``spectrum``, a contiguous complex
+    (3, R, n_angles) array.  The inverse FFTs are copied back over the
+    spectrum, one field at a time when it holds more than ``BLOCK_POINTS``
+    values, so the FFT's output is at most one block.
 
     Index j of the reversed spectrum is -(j + 1) mod n_angles, so the terms
     at negative indices fold there as the +n terms fold into the spectrum
@@ -404,31 +421,168 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     _fold(spectrum, plus, powers[:, 1:])
     _fold(back[:1], minus_f, powers[:, 2:])
     _fold(back[1:], minus_d, powers)
-    n_angles = spectrum.shape[-1]
-    out = np.fft.ifft(spectrum.reshape(-1, n_angles), axis=1, norm="forward")
-    return out.reshape(3, -1)
+    if spectrum.size <= BLOCK_POINTS:
+        spectrum[...] = np.fft.ifft(spectrum, axis=2, norm="forward")
+    else:
+        for field in spectrum:
+            field[...] = np.fft.ifft(field, axis=1, norm="forward")
+    return spectrum.reshape(3, -1)
+
+
+#: Rounding allowance of the per-ring lower bounds, relative to the size of
+#: what they bound: about 4,500 ulps, where each bound and each computed
+#: value carries a few dozen.
+BOUND_ROUNDING = 1e-12
+
+
+@np.errstate(all="ignore")  # a sum that overflows gives a bound of -inf
+def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int = 4) -> np.ndarray:
+    """Lower bounds over each ring |z| = r on |F|, Re(phase DF/F), the
+    Jacobian and the margin |F + phase DF| - |F - phase DF|, the first
+    ``count`` of them, of the members F = z P + conj(z Q), P = sum p_j z^j,
+    Q = sum q_j z^j, where DF = z F_z - conj(z) F_zbar: shape (count, members,
+    rings).  The rows of ``mag`` are the |p_j|, those of ``conj`` the |q_j|
+    (default Q = 0, and then DF = z F').
+
+    With S = sum_{j >= 1} |p_j| r^j + sum |q_j| r^j, D = |p_0| - S,
+    E = sum j |p_j| r^j + sum (j + 2) |q_j| r^j, Sa = sum_{j >= 1} (j + 1) |p_j| r^j,
+    Sb = sum (j + 1) |q_j| r^j, the weights A_n = |1 + n phase| + |1 - n phase|
+    and B = |1 + phase| - |1 - phase| of the weight table:
+    |F| >= r D and Re(phase DF/F) >= Re(phase) - |phase| E/D where D > 0,
+    J >= max(|p_0| - Sa, 0)^2 - Sb^2, and the margin is at least
+    M = r (|p_0| B - sum_{j >= 1} A_(j+1) |p_j| r^j - sum A_(j+1) |q_j| r^j),
+    which is at least r (|p_0| B - 2 (S + |phase| (Sa + Sb))).  Where M > 0
+    also |F| >= M/2 and Re(phase DF/F) >= M / (2 |F|) with
+    |F| <= r (|p_0| + S).  Each is less a rounding allowance relative to the
+    size T = r sum_j s_j r^j, over the rows s_j of ``size`` (default
+    (j + 2)(|p_j| + |q_j|), which bounds F and DF together): R T for |F|, the
+    margin and the upper bound on |F|, R (T/r)^2 for J and
+    R (1 + |phase| E/D) T / (r D) for the quotient, R = ``BOUND_ROUNDING``.
+    With ``count`` 2 the bounds from M are left out.  A bound is -inf where
+    it is not finite or has no case that holds.  The power tables hold at
+    most ``BLOCK_POINTS`` entries.
+    """
+    members, width = mag.shape
+    j = np.arange(width)
+    k = j + 1
+    mod = abs(phase)
+    full = count > 2
+    tail = mag.copy()
+    tail[:, 0] = 0  # the |p_j| for j >= 1
+    pq = tail if conj is None else tail + conj
+    if size is None:
+        size = (j + 2) * (mag if conj is None else mag + conj)
+    # Each sum is a power series in r: the rows hold the coefficients of r^j
+    # of D, |phase| E, R T/r, then |p_0| - Sa, Sb, sqrt(R) T/r, M/r and twice
+    # an upper bound on |F|/r, so one table product gives them all, and a sum
+    # that does not depend on r (order 1) comes out the same on every ring.
+    rows = np.empty((8 if full else 3, members, width))
+    np.negative(pq, out=rows[0])
+    rows[0, :, 0] += mag[:, 0]
+    np.multiply(j, mag, out=rows[1])
+    if conj is not None:
+        rows[1] += (j + 2) * conj
+    rows[1] *= mod
+    np.multiply(BOUND_ROUNDING, size, out=rows[2])
+    if full:
+        np.multiply(-k, tail, out=rows[3])
+        rows[3, :, 0] = mag[:, 0]
+        np.multiply(k, 0 if conj is None else conj, out=rows[4])
+        np.multiply(math.sqrt(BOUND_ROUNDING), size, out=rows[5])
+        kp = k * phase
+        np.multiply(-np.abs(1 + kp) - np.abs(1 - kp), pq, out=rows[6])  # -A_(j+1)
+        rows[6] -= rows[2]
+        rows[6, :, 0] += (abs(1 + phase) - abs(1 - phase)) * mag[:, 0]
+        np.add(pq, rows[2], out=rows[7])
+        rows[7, :, 0] += mag[:, 0]
+        rows[7] *= 2
+    rows = rows.reshape(-1, width)
+    step = max(1, BLOCK_POINTS // width)  # rings per power table
+    out = np.empty((count, members, r.size))
+    cos = complex(phase).real
+    for s in range(0, r.size, step):
+        ri = r[s : s + step]
+        # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
+        # about 0.4 MB of resident memory that nothing else here needs.
+        x = np.einsum("mj,jr->mr", rows, ri ** j[:, None]).reshape(-1, members, ri.size)
+        d, e, t = x[:3]
+        bound = out[:, :, s : s + step]
+        ratio = e / d
+        np.multiply(ri, d - t, out=bound[0])
+        bound[1] = cos - ratio - (1 + ratio) * t / d
+        np.copyto(bound[:2], -np.inf, where=d <= 0)
+        if full:
+            np.maximum(x[3], 0, out=x[3])  # |F_z| >= max(|p_0| - Sa, 0)
+            np.square(x[3:6], out=x[3:6])
+            np.subtract(x[3] - x[4], x[5], out=bound[2])
+            np.multiply(ri, x[6], out=bound[3])
+            # |F| >= M/2, and where M > 0, as 4 |F|^2 Re(phase DF/F) =
+            # |F + phase DF|^2 - |F - phase DF|^2, Re(phase DF/F) >= M / (2 |F|).
+            np.maximum(bound[0], 0.5 * bound[3], out=bound[0])
+            np.maximum(bound[1], x[6] / x[7], out=bound[1], where=x[6] > 0)
+        np.copyto(bound, -np.inf, where=~np.isfinite(bound))  # NaN included
+    return out
+
+
+#: GridField's scans in the order of :func:`ring_bounds`, each with the sign
+#: of its pass threshold: a minimum passes when it is > sign * margin_eps.
+_SCANS = (("nonvanishing", 1), ("pointwise", -1), ("sense_preserving", 1), ("margin", -1))
+_ABS, _QUOTIENT, _JACOBIAN, _MARGIN = range(4)
 
 
 class GridField:
     """The |f|, Jacobian, spiral quotient Re(phase Df/f) and two-modulus
     margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
 
-    The rings are walked in blocks of about ``BLOCK_POINTS`` points (half
-    that for a closed form) and only the running minima are kept, so memory
-    does not grow with ``n_radii``.
-    ``pointwise`` is None exactly when min |f| is not above margin_eps (NaN
-    included); the quotient is not formed once |f| has dipped below it.
+    Rings are evaluated in blocks of at most ``BLOCK_POINTS`` points (half
+    that for a closed form) and only each ring's minima are kept, so memory
+    does not grow with ``n_radii`` beyond a few numbers per ring.  The four
+    results are ``ScanResult.minimum`` over the whole grid: each ring's first
+    minimiser, then the first ring attaining the least of them, radius-major,
+    a NaN before any number.  ``pointwise`` is None exactly when min |f| is
+    not above margin_eps (NaN included); the quotient is not formed once |f|
+    has dipped below it.  ``rings_evaluated`` counts the rings evaluated.
 
     One kernel, :meth:`_scan`, takes f, phase Df and the Jacobian of a block
-    and merges the four minima; two producers feed it.  For a series-backed
-    map, :func:`ring_fields` gives f, Df/z and P/z, P = z h' + conj(z g'),
-    with three inverse FFTs per ring; the Jacobian is Re(P/z conj(Df/z)).
-    They match Horner to within 1e-12 * sum (1 + n)(|h_n| + |g_n|) r^n for
-    f and Df, and 1e-12 times the square of sum n (|h_n| + |g_n|) r^(n-1)
-    for the Jacobian.  The spectra and real scratch live in one workspace
-    allocated when the scan starts; per block only the FFT's output, the
-    power table and the fold temporaries are new, the last up to
+    and records the four minima of each ring; two producers feed it.  For a
+    series-backed map, :func:`ring_fields` gives f, Df/z and P/z, P = z h' +
+    conj(z g'), with three inverse FFTs per ring; the Jacobian is Re(P/z
+    conj(Df/z)).  They match Horner to within 1e-12 * sum (1 + n)(|h_n| +
+    |g_n|) r^n for f and Df, and 1e-12 times the square of sum n (|h_n| +
+    |g_n|) r^(n-1) for the Jacobian.  One workspace, allocated when the scan
+    starts, holds the spectra (which become the fields), the four values per
+    point and the points; per block only the FFT's output (at most
+    ``BLOCK_POINTS`` values), the power table and the fold temporaries are
+    new, the last up to
     3 R min(N + 1, n_angles) values for R rings and order N.
+
+    A series-backed map is not evaluated on every ring.  On |z| = r let
+    S0 = |b_1| + sum_{n >= 2} (|a_n| + |b_n|) r^(n-1), D = 1 - S0,
+    E = sum (n - 1)|a_n| r^(n-1) + sum (n + 1)|b_n| r^(n-1),
+    Sa = sum_{n >= 2} n |a_n| r^(n-1), Sb = sum n |b_n| r^(n-1) and
+    B = |1 + phase| - |1 - phase|.  Then, for unimodular phase,
+    |f| >= r D, J >= max(1 - Sa, 0)^2 - Sb^2, Re(phase Df/f) >=
+    Re(phase) - E/D where D > 0, and the margin is at least
+    M = r (B - sum A_n (|a_n| + |b_n|) r^(n-1)) with the weight table's
+    A_n = |1 + n phase| + |1 - n phase|, so at least r (B - 2 (S0 + Sa +
+    Sb)); where M > 0 also |f| >= M/2 and Re(phase Df/f) >= M / (2 r (1 +
+    S0)).  :func:`ring_bounds` gives each ring these bounds less an
+    allowance of ``BOUND_ROUNDING`` times the size sum T = sum (1 + n)(|h_n|
+    + |g_n|) r^n (times (T/r)^2 for J and (1 + E/D) T / (r D) for the
+    quotient), so each is at most every value the FFT computes on the ring;
+    a bound that is not finite is -inf.
+
+    The walk: one pass evaluates the rings holding each quantity's lowest
+    bound, ties included, so every ring without a bound and, when a bound
+    does not depend on r (an order-1 map), every ring.  The other rings are
+    then walked radius-major in blocks, and a ring is evaluated only when one
+    of its bounds does not clear that quantity's running minimum, checked
+    again before each block; a NaN minimum is cleared by none, and the
+    quotient's bound stops counting once pointwise is None.  A skipped ring
+    holds no minimum, tie or NaN of any quantity, and each ring's minima are
+    merged at its radius-major place, so the four results, their witnesses
+    and the None rule are those of evaluating every ring, bit for bit.  A
+    closed form has no bounds and is evaluated on every ring.
 
     A closed form is evaluated from h, g, h', g' on blocks of at most
     ``BLOCK_POINTS // 2`` points (or one ring), and its products run in place
@@ -441,61 +595,109 @@ class GridField:
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
         self.phase = phase
-        self.nonvanishing = self.sense_preserving = self.pointwise = self.margin = None
+        # Each ring's minima in the order of _SCANS and their first minimisers;
+        # inf on a ring not evaluated.
+        self._low = np.full((4, grid.n_radii), np.inf)
+        self._at = np.zeros((4, grid.n_radii), dtype=np.complex128)
+        self._divide = True  # every ring so far has |f| > margin_eps
+        self._rings = 0
         if m.closed_form is None:
-            self._scan_rings(field_rows(m))
+            self._scan_rings(m)
         else:
-            for _, z in ring_blocks(grid, 2):
-                self._scan_closed_form(m, z)
-
-    def _merge(self, name: str, values, z, threshold: float) -> None:
-        # A later block wins only when strictly smaller, or NaN where the best
-        # is not, so the result is ScanResult.minimum over the whole grid.
-        best, block = getattr(self, name), ScanResult.minimum(values, z, threshold)
-        if best is None or not (block.min_value >= best.min_value or math.isnan(best.min_value)):
-            setattr(self, name, block)
-
-    def _scan(self, z, f, rot_df, jac, c, b):
-        # f, phase Df and the Jacobian on the points z.  Once merged, jac is
-        # real scratch, as are the complex c and the real b.
-        eps = self.grid.margin_eps
-        self._merge("sense_preserving", jac, z, eps)
-        a = np.abs(f, out=jac)
-        self._merge("nonvanishing", a, z, eps)
-        if self.nonvanishing.min_value > eps:
-            self._merge("pointwise", np.divide(rot_df, f, out=c).real, z, -eps)
-        else:
+            vals = np.empty((4, _block_rings(grid, 2) * grid.n_angles))
+            start = 0
+            for r, z in ring_blocks(grid, 2):
+                self._scan_closed_form(m, slice(start, start + r.size), z, vals)
+                start += r.size
+        q, k = np.arange(4), np.argmin(self._low, axis=1)  # NaN first, then the first ring
+        for (name, sign), low, at in zip(_SCANS, self._low[q, k].tolist(), self._at[q, k].tolist()):
+            setattr(self, name, ScanResult(low, at, low > sign * grid.margin_eps))
+        if not self._divide:
             self.pointwise = None
-        np.abs(np.add(f, rot_df, out=c), out=a)
-        np.abs(np.subtract(f, rot_df, out=c), out=b)
-        self._merge("margin", np.subtract(a, b, out=a), z, -eps)
 
-    def _scan_closed_form(self, m, z):
+    @property
+    def rings_evaluated(self) -> int:
+        """The number of rings the scan evaluated."""
+        return self._rings
+
+    def _scan(self, rings, z, f, rot_df, c, b, vals):
+        # f and phase Df on the points z of the rings ``rings``, with the
+        # Jacobian in row _JACOBIAN of vals, real rows the kernel writes the
+        # four values into; the complex c and the real b are scratch, and
+        # rot_df once read.  Each ring's minima and first minimisers are those
+        # np.argmin takes (the first NaN, if any).
+        n = z.size
+        a = vals[_ABS, :n]
+        np.abs(f, out=a)
+        self._divide = self._divide and bool(a.min() > self.grid.margin_eps)
+        if self._divide:
+            np.copyto(vals[_QUOTIENT, :n], np.divide(rot_df, f, out=c).real)
+        a = vals[_MARGIN, :n]
+        np.abs(np.add(f, rot_df, out=c), out=a)
+        np.abs(np.subtract(f, rot_df, out=rot_df), out=b)
+        np.subtract(a, b, out=a)
+        count = n // self.grid.n_angles
+        k = vals[:, :n].reshape(4, count, -1).argmin(axis=2)
+        k += np.arange(0, n, self.grid.n_angles)  # the rings' first points
+        self._at[:, rings] = z[k]
+        k += np.arange(0, vals.size, vals.shape[1])[:, None]  # the rows' first values
+        self._low[:, rings] = vals.ravel()[k]
+        self._rings += count
+
+    def _scan_closed_form(self, m, rings, z, vals):
         # The evaluators are module names looked up per call, so wrappers set
         # on the module see each call.
         f = h_values(m, z) + np.conj(g_values(m, z))
         dh, dg = dh_values(m, z), dg_values(m, z)
-        jac, b = np.abs(dh) ** 2, np.abs(dg) ** 2
-        np.subtract(jac, b, out=jac)
+        b = np.abs(dg) ** 2
+        np.subtract(np.abs(dh) ** 2, b, out=vals[_JACOBIAN, : z.size])
         np.multiply(z, dh, out=dh)
         np.multiply(z, dg, out=dg)
         np.subtract(dh, np.conj(dg, out=dg), out=dh)
-        self._scan(z, f, np.multiply(self.phase, dh, out=dh), jac, dg, b)
+        self._scan(rings, z, f, np.multiply(self.phase, dh, out=dh), dg, b, vals)
 
-    def _scan_rings(self, rows):
-        n_angles = self.grid.n_angles
-        size = _block_rings(self.grid) * n_angles
-        spectrum = np.empty(3 * size, dtype=np.complex128)
-        scratch = np.empty((2, size))
-        for r, z in ring_blocks(self.grid):
-            spec = spectrum[: 3 * z.size].reshape(3, r.size, n_angles)
-            f, d, p = ring_fields(rows, r, spec)  # f, Df/z, P/z
-            a, b = scratch[:, : z.size]
-            np.multiply(p.real, d.real, out=a)  # J = Re(P/z conj(Df/z))
-            np.add(a, np.multiply(p.imag, d.imag, out=b), out=a)
+    def _scan_rings(self, m):
+        radii, angles = grid_axes(self.grid)
+        h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
+        np.abs(m.a, out=h[0, 1:])
+        bounds = ring_bounds(h, radii, self.phase, np.abs(m.b)[None])[:, 0]
+        rows = field_rows(m)
+        n_angles, step = angles.size, _block_rings(self.grid)
+        # One workspace: the spectra, which become the fields, then the four
+        # values per point, then the points.
+        size = step * n_angles
+        work = np.empty(6 * size, dtype=np.complex128)
+        vals = work[3 * size : 5 * size].view(np.float64).reshape(4, size)
+        points = work[5 * size :]
+
+        def scan(i):  # the rings i, ascending, at most step of them
+            r, n = radii[i], i.size * n_angles
+            f, d, p = ring_fields(rows, r, work[: 3 * n].reshape(3, i.size, n_angles))
+            z = points[:n]
+            np.multiply(r[:, None], angles[None, :], out=z.reshape(i.size, n_angles))
+            jac, b = vals[_JACOBIAN, :n], vals[_MARGIN, :n]
+            np.multiply(p.real, d.real, out=jac)  # J = Re(P/z conj(Df/z))
+            np.add(jac, np.multiply(p.imag, d.imag, out=b), out=jac)
             np.multiply(self.phase, np.multiply(z, d, out=d), out=d)  # phase Df
-            self._scan(z, f, d, a, p, b)
-            del f, d, p  # free the FFT's output before the next block's exists
+            self._scan(i, z, f, d, p, p.view(np.float64)[:n], vals)
+
+        def live(i):  # the rings i whose bounds do not clear the running minima
+            clear = bounds[:, i] > self._low.min(axis=1)[:, None]  # NaN clears none
+            clear[_QUOTIENT] |= not self._divide
+            return i[~clear.all(axis=0)]
+
+        first = np.flatnonzero((bounds <= bounds.min(axis=1)[:, None]).any(axis=0))
+        for s in range(0, first.size, step):
+            scan(first[s : s + step])
+        if first.size == radii.size:
+            return
+        rest = np.ones(radii.size, dtype=bool)
+        rest[first] = False
+        rest = live(np.flatnonzero(rest))
+        for s in range(0, rest.size, step):
+            i = live(rest[s : s + step])  # the minima may have fallen
+            if i.size:
+                scan(i)
 
 
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:

@@ -9,11 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spiralmaps.construct import (
     ConstraintError,
     catalog,
+    catalog_names,
+    random_signed_map,
+    random_starlike_budget_map,
     random_sufficient_map,
     transform_exponent,
     transform_family_check,
@@ -41,6 +44,7 @@ from spiralmaps.harmonic import (
     grid_points,
     identity_map,
     jacobian,
+    ring_bounds,
     ring_fields,
     ring_values,
 )
@@ -255,6 +259,125 @@ def test_dense_scan_peak_memory_is_a_few_block_arrays():
         run_all_checks(m, p, grid)  # warm caches outside the measurement
         peak = traced_peak(lambda: run_all_checks(m, p, grid))
         assert peak < 10 * block, (order, peak / block)
+
+
+# ------------------------------------------------------- the pruned ring walk
+#
+# GridField evaluates a series-backed map only on the rings whose lower bounds
+# from ring_bounds leave them in play.  The reference below evaluates every
+# ring with its own ring_fields call and the scan's arithmetic, and takes each
+# minimum over the whole grid, so the two must agree bit for bit.
+
+
+def every_ring_scan(m: HarmonicMapSpec, grid: GridSpec, phase: complex):
+    """GridField's four results from one ring_fields call per ring and
+    ScanResult.minimum over the grid (pointwise is None exactly when min |f|
+    is not above margin_eps), and each ring's minima of |f|, the quotient,
+    the Jacobian and the margin, shape (4, n_radii)."""
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    pts = grid_points(grid).reshape(grid.n_radii, grid.n_angles)
+    f, rot_df, jac = [], [], []
+    with np.errstate(all="ignore"):
+        rows = field_rows(m)
+        for i in range(grid.n_radii):
+            spectrum = np.empty((3, 1, grid.n_angles), dtype=np.complex128)
+            fi, d, p = ring_fields(rows, radii[i : i + 1], spectrum)
+            f.append(fi)
+            rot_df.append(phase * (pts[i] * d))
+            jac.append(p.real * d.real + p.imag * d.imag)
+        f, rot_df, jac = (np.concatenate(v) for v in (f, rot_df, jac))
+        values = np.stack([np.abs(f), (rot_df / f).real, jac, np.abs(f + rot_df) - np.abs(f - rot_df)])
+    z, eps = pts.ravel(), grid.margin_eps
+    low = ScanResult.minimum(values[0], z, eps)
+    scans = {
+        "nonvanishing": low,
+        "pointwise": ScanResult.minimum(values[1], z, -eps) if low.min_value > eps else None,
+        "sense_preserving": ScanResult.minimum(values[2], z, eps),
+        "margin": ScanResult.minimum(values[3], z, -eps),
+    }
+    return scans, values.reshape(4, grid.n_radii, grid.n_angles).min(axis=2)
+
+
+def walk_input(kind: str, rng, order: int, lam: float) -> HarmonicMapSpec:
+    p = SpiralParams(lam)
+    n_terms = int(rng.integers(1, order + 1))
+    if kind == "sufficient":
+        return random_sufficient_map(rng, p, order=order, n_terms=n_terms)
+    if kind == "signed":
+        return random_signed_map(rng, p, order=order, n_terms=n_terms)
+    if kind == "budget":
+        return random_starlike_budget_map(rng, order=order, n_terms=n_terms)
+    if kind == "steep":
+        # h = z + c z^k with |c| up to 2: D <= 0 on the outer rings, which
+        # then have no useful bound on |f| or the quotient.
+        a = np.zeros(max(order, 2) - 1, dtype=np.complex128)
+        a[rng.integers(a.size)] = rng.uniform(0.1, 2.0) * cmath.exp(2j * math.pi * rng.random())
+        return HarmonicMapSpec(a=a, b=[0.1 * cmath.exp(2j * math.pi * rng.random())],
+                               truncation_order=a.size + 1)
+    if kind == "constant":
+        # h = z, g = c z: J is the same on every ring, so rings tie.
+        c = rng.uniform(0, 0.9) * cmath.exp(2j * math.pi * rng.random()) if rng.random() < 0.7 else 0
+        return HarmonicMapSpec(a=[], b=[c], truncation_order=order)
+    if kind == "overflow":
+        m = random_sufficient_map(rng, p, order=max(order, 2), n_terms=n_terms)
+        a = m.a.copy()
+        a[rng.integers(a.size)] = float(rng.choice([1e308, 1e200, 1e154]))
+        return HarmonicMapSpec(a=a, b=m.b, truncation_order=m.truncation_order)
+    # "zero": f = z (1 - 2z)(1 - 4z) vanishes exactly at z = 1/4 and z = 1/2.
+    return HarmonicMapSpec(a=[-6, 8], b=[], truncation_order=3)
+
+
+@settings(max_examples=80, deadline=None)
+# Two rings a few ulps apart whose margins tie exactly: one is evaluated in
+# the first pass, the other later, and the earlier one must stay the witness.
+@example(kind="budget", seed=2462532401, order=8, n_angles=256, n_radii=2, dense=True, ulps=40,
+         margin=0.05, lam=-0.15127906717026685)
+@given(st.sampled_from(["sufficient", "signed", "budget", "steep", "constant", "overflow", "zero"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 256), st.sampled_from([8, 10, 24, 30, 256, 2046, 2048]),
+       st.integers(1, 6), st.booleans(), st.sampled_from([None, 1, 3, 40]),
+       st.sampled_from([1e-9, 0.0, 1e-3, 0.05]), st.floats(-1.5, 1.5))
+def test_pruned_ring_walk_is_the_every_ring_scan(
+    kind, seed, order, n_angles, n_radii, dense, ulps, margin, lam
+):
+    rng = np.random.default_rng(seed)
+    m = walk_input(kind, rng, order, lam)
+    if dense:  # several blocks
+        n_radii += BLOCK_POINTS // n_angles
+    r_min = float(rng.uniform(1e-3, 0.6))
+    r_max = float(rng.uniform(r_min + 0.01, 0.995))
+    if ulps:
+        # Radii a few ulps apart: the rings' minima tie or differ by rounding,
+        # and the signed maps meet their bounds on the real axis, so a bound
+        # without its allowance would skip a ring that holds the minimum.
+        r_max = r_min + ulps * float(np.spacing(r_min))
+    if kind == "zero":  # the zeros lie on the first and the last ring, at angle 0
+        r_min, r_max = 0.25, 0.5
+    grid = GridSpec(r_min=r_min, r_max=r_max, n_radii=n_radii, n_angles=n_angles, margin_eps=margin)
+    phase = SpiralParams(lam).phase
+    with np.errstate(all="ignore"):
+        got = GridField(m, grid, phase)
+    want, minima = every_ring_scan(m, grid, phase)
+    for name, scan in want.items():
+        assert repr(getattr(got, name)) == repr(scan), name  # exact floats, NaN equal to NaN
+    # The walk relies on each ring's bounds being at most its minima.
+    h = np.ones((1, m.truncation_order))
+    h[0, 1:] = np.abs(m.a)
+    bounds = ring_bounds(h, np.linspace(r_min, r_max, n_radii), phase, np.abs(m.b)[None])[:, 0]
+    assert not np.any(bounds > minima), np.argwhere(bounds > minima)
+
+
+def test_dense_scans_evaluate_few_rings():
+    p = SpiralParams(math.pi / 4)
+    m = random_sufficient_map(np.random.default_rng(7), p, order=64, n_terms=32)
+    grid = GridSpec(n_radii=200, n_angles=2048)
+    assert GridField(m, grid, p.phase).rings_evaluated <= 20
+    # Bounds that tie on every ring (a constant Jacobian) or that do not exist
+    # (a closed form) leave every ring in play.
+    assert GridField(identity_map(8), grid, p.phase).rings_evaluated == grid.n_radii
+    for name in catalog_names():
+        c = catalog(name, p=p, alpha=0.5)
+        if c.closed_form is not None:
+            assert GridField(c, GridSpec(), p.phase).rings_evaluated == GridSpec().n_radii, name
 
 
 # ------------------------------------------------------- unimodular families
@@ -556,9 +679,11 @@ def test_family_peak_memory_is_flat_in_eps_and_radii():
 
 # ------------------------------------------------- the pruned eps-family scan
 #
-# epsilon_starlike_check evaluates members only where its Mobius bounds leave
-# a point in play.  The reference below evaluates every (eps, point) pair with
-# the scan's own arithmetic, so the two must agree bit for bit.
+# epsilon_starlike_check runs on family_scan: a ring is evaluated for every
+# eps where the bounds of h + eps g from ring_bounds, or where they give none
+# the ring's Mobius floor, do not clear the running minimum.  The reference
+# below evaluates every (eps, point) pair with the scan's own arithmetic, so
+# the two must agree bit for bit.
 
 
 def every_pair_eps_check(m: HarmonicMapSpec, grid: GridSpec, n_eps: int) -> EpsilonScanResult:
