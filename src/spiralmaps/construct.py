@@ -25,8 +25,9 @@ from .harmonic import (
     ClosedForm,
     GridSpec,
     HarmonicMapSpec,
+    _block_rings,
+    grid_axes,
     identity_map,
-    ring_blocks,
     ring_bounds,
     ring_values,
     signed_shape,
@@ -325,7 +326,7 @@ def _orientation_probe(g: PowerSeries) -> None:
     # the grid's points, radius-major, axis points exact.
     grid = GridSpec(n_radii=8, n_angles=32, r_max=0.7)
     c = g.coeffs
-    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    radii, _ = grid_axes(grid)
     gv, zdg = ring_values(np.stack([c, np.arange(c.size) * c]), radii, grid.n_angles)
     good = np.abs(gv) > 1e-12
     margins = np.real(zdg[good] / gv[good])
@@ -356,9 +357,10 @@ def transform_identity_defect(
     h = spirallike_power_transform(g, p, orientation=orientation, probe=False)
     rows = np.stack([log_derivative_ratio(h).coeffs, log_derivative_ratio(g).coeffs])
     rot = np.exp(-1j * orientation * p.lam)
-    defect = 0.0
-    for r, _ in ring_blocks(grid):
-        qh, qg = ring_values(rows, r, grid.n_angles)
+    radii, _ = grid_axes(grid)
+    defect, step = 0.0, _block_rings(grid)
+    for s in range(0, radii.size, step):
+        qh, qg = ring_values(rows, radii[s : s + step], grid.n_angles)
         lhs = np.real(rot * qh)
         rhs = math.cos(p.lam) * np.real(qg)
         defect = np.maximum(defect, np.max(np.abs(lhs - rhs)))
@@ -606,19 +608,7 @@ def catalog(
 
 
 def catalog_names() -> list[str]:
-    return [
-        "identity",
-        "f1",
-        "f2",
-        "f3",
-        "f4",
-        "f5",
-        "f6",
-        "f7",
-        "koebe",
-        "harmonic_koebe",
-        "half_plane",
-    ]
+    return list(CATALOG_PARAMS)
 
 
 #: Catalog parameters each entry accepts, for CLI help and validation.

@@ -36,7 +36,9 @@ from .harmonic import (
     grid_axes,
     h_values,
     ring_bounds,
+    ring_minima,
     ring_values,
+    walk_rings,
 )
 
 #: Uniform pass margin for the strict inequalities in coefficient tests.
@@ -314,58 +316,6 @@ def unimodular_samples(n_eps: int) -> np.ndarray:
     return np.array([complex(np.exp(2j * np.pi * k / n_eps)) for k in range(n_eps)])
 
 
-def _merge_row_minima(best, at, which, values, z) -> None:
-    # Row i of values belongs to member which[i]; its first minimiser, as
-    # np.argmin over the whole grid would take it.
-    k = np.argmin(values, axis=1)
-    _merge_minima(best, at, which, values[np.arange(k.size), k], z[k])
-
-
-def _merge_minima(best, at, which, v, vz) -> None:
-    # A later value wins only when strictly smaller, or NaN where the best is
-    # not, so each member keeps its first minimiser.
-    won = ~((v >= best[which]) | np.isnan(best[which]))
-    best[which[won]] = v[won]
-    at[which[won]] = vz[won]
-
-
-def _family_minima(n: int, grid: GridSpec):
-    """Running minima of |den| and of Re(num/den) for n members, with their
-    points; inf at the first grid point is what a member reading inf
-    everywhere has."""
-    start = complex(grid.r_min)
-    return np.full(n, np.inf), np.full(n, start), np.full(n, np.inf), np.full(n, start)
-
-
-def _family_result(low, low_at, best, best_at, eps, margin: float, what: str):
-    """The scan's outcome from its running minima: :class:`NearZeroError` for
-    the first eps whose |den| is not above ``margin`` (NaN included), else the
-    minimum over the family, first minimiser eps-major."""
-    near = np.flatnonzero(~(low > margin))
-    if near.size:
-        k = near[0]
-        raise NearZeroError(
-            f"|{what}| = {low[k]:.3e} below margin at eps = {complex(eps[k])}, "
-            f"z = {complex(low_at[k])}"
-        )
-    k = int(np.argmin(best))
-    return EpsilonScanResult(
-        float(best[k]), complex(best_at[k]), complex(eps[k]), bool(best[k] > -margin)
-    )
-
-
-def _merge_family(minima, which, den, num, z, margin: float) -> None:
-    """Merge the values (den, num) of the members ``which`` on the points
-    ``z`` into the running minima; Re(num/den) only for the members whose
-    |den| is still above ``margin``, formed in ``num``."""
-    low, low_at, best, best_at = minima
-    _merge_row_minima(low, low_at, which, np.abs(den), z)
-    clear = low[which] > margin
-    if not clear.all():
-        which, den, num = which[clear], den[clear], num[clear]
-    _merge_row_minima(best, best_at, which, np.divide(num, den, out=num).real, z)
-
-
 def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
     """Minimum of Re(num/den) over the unimodular samples ``eps`` and the grid.
 
@@ -376,26 +326,25 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     Re(num/den) over each ring, each of shape (members, rings), less a
     rounding allowance: at most every computed value, -inf (or NaN) for none.
 
-    The ring with the lowest bound on Re(num/den) over every eps (NaN before
-    any number, the outermost on ties) is evaluated first for every eps: its
-    minimum gives ``top``, a value some member attains.  Chunk by chunk of
-    eps, the other rings are then evaluated only where their bounds over
-    every eps do not clear ``top`` (which falls with the running minima) or
-    margin_eps.  The minima of the rings before the first ring, of the first
-    and of those after it are merged in that order.  No skipped ring can hold
-    the minimum, a tie with it, a NaN or a near-zero member, so the result is
-    that of the full sampled scan bit for bit, in memory of about
-    ``BLOCK_POINTS`` values plus per-ring and per-eps arrays.  Raises
-    :class:`NearZeroError` naming eps and the point for the first eps whose
-    |den| is not above margin_eps, ``what`` naming the denominator; the
-    quotient is formed only where |den| is.  The witness is the first
-    minimiser, eps-major, then radius-major.
+    The scan takes each ring's lowest bounds over every eps and walks the
+    rings with :func:`walk_rings`, evaluating a ring for every eps in chunks
+    of about ``BLOCK_POINTS`` values: first the rings of the lowest quotient
+    bound, ties included, then the others radius-major where their bounds do
+    not clear margin_eps or the least value found so far.  No skipped ring
+    can hold the minimum, a tie with it, a NaN or a near-zero member.  Each
+    ring records its least Re(num/den) with the first eps and point
+    attaining it, and the first eps whose |den| is not above margin_eps
+    there with that member's least |den| and its point.  The outcome is read
+    from these records in an order the walk does not affect, so it is that
+    of the full sampled scan bit for bit, in memory of about
+    ``BLOCK_POINTS`` values plus per-ring arrays: :class:`NearZeroError`
+    (``what`` naming the denominator) for the smallest near-zero eps, at its
+    least |den| (NaN first) on the first ring; else the least value (NaN
+    first) for its smallest eps, on the first ring.  The quotient is formed
+    only for members whose |den| is above margin_eps on the rings at hand.
     """
-    n, margin = eps.size, grid.margin_eps
-    chunk = min(n, max(1, BLOCK_POINTS // grid.n_angles))
-    # Rings per evaluation: at most BLOCK_POINTS // 2 points (or one ring),
-    # where a closed form gives the bits it gives ring by ring.
-    step = max(1, BLOCK_POINTS // (max(chunk, 2) * grid.n_angles))
+    n, margin, n_angles = eps.size, grid.margin_eps, grid.n_angles
+    chunk = min(n, max(1, BLOCK_POINTS // n_angles))
     span = max(1, BLOCK_POINTS // chunk)  # rings per call of bounds
     chunks = [np.arange(k, min(k + chunk, n)) for k in range(0, n, chunk)]
     radii, angles = grid_axes(grid)
@@ -404,32 +353,60 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
         for s in range(0, radii.size, span):
             low = np.asarray(bounds(which, radii[s : s + span])).min(axis=1)
             np.minimum(lowest[:, s : s + span], low, out=lowest[:, s : s + span])
+    lowest[np.isnan(lowest)] = -np.inf  # no bound
     ring_low, ring_bound = lowest
-    k = radii.size - 1 - int(np.argmin(ring_bound[::-1]))  # NaN first
-    first = _family_minima(n, grid)
-    for which in chunks:
-        _merge_family(first, which, *values(which, radii[k : k + 1]), radii[k] * angles, margin)
-    top = np.fmin.reduce(first[2])
-    # Members are merged independently, so each chunk walks the rings on its
-    # own, those before the first ring and those after it into minima of
-    # their own.  A ring whose bounds clear for every eps stays cleared as
-    # top falls.
-    minima, after = _family_minima(n, grid), _family_minima(n, grid)
-    for which in chunks:
-        live = np.flatnonzero(~(ring_bound > top) | ~(ring_low > margin))
-        for part, into in ((live[live < k], minima), (live[live > k], after)):
-            for g in range(0, part.size, step):
-                i = part[g : g + step]
-                i = i[~(ring_bound[i] > top) | ~(ring_low[i] > margin)]  # top may have fallen
-                if i.size:
-                    z = (radii[i, None] * angles).ravel()
-                    _merge_family(into, which, *values(which, radii[i]), z, margin)
-                    top = np.fmin(top, np.fmin.reduce(into[2][which]))
-    everyone = np.arange(n)
-    for later in (first, after):  # radius-major
-        for v, at in ((0, 1), (2, 3)):
-            _merge_minima(minima[v], minima[at], everyone, later[v], later[at])
-    return _family_result(*minima, eps, margin, what)
+    # Each ring's records, near zero and quotient: the value, the point and
+    # the eps (n: no near-zero eps yet).  A ring reading inf everywhere has
+    # inf at its first point.
+    low = np.full((2, radii.size), np.inf)
+    at = np.tile(radii.astype(np.complex128), (2, 1))
+    first = np.zeros((2, radii.size), dtype=np.intp)
+    first[0] = n
+
+    def keep(row, i, won, which, v, z):
+        low[row, i[won]], at[row, i[won]], first[row, i[won]] = v[won], z[won], which[won]
+
+    def record(which, i):
+        # The members which on the rings i, merged within one call so that no
+        # chunk's values outlive it.  Chunks come in eps order.
+        den, num = values(which, radii[i])
+        z, rings = (radii[i, None] * angles).ravel(), np.arange(i.size)
+        v, k = ring_minima(np.abs(den), n_angles)
+        near = ~(v > margin)
+        if near.any():
+            j = near.argmax(axis=0)  # the first near-zero member on each ring
+            keep(0, i, near[j, rings] & (first[0, i] == n), which[j], v[j, rings], z[k[j, rings]])
+            clear = ~near.any(axis=1)
+            which, den, num = which[clear], den[clear], num[clear]
+        if which.size:
+            v, k = ring_minima(np.divide(num, den, out=num).real, n_angles)
+            j = v.argmin(axis=0)  # the first least member on each ring, NaN first
+            v, k = v[j, rings], k[j, rings]
+            keep(1, i, ~((v >= low[1, i]) | np.isnan(low[1, i])), which[j], v, z[k])
+
+    def scan(i):
+        for which in chunks:
+            record(which, i)
+
+    def skip(i):  # the rings whose bounds over every eps clear the least value and the margin
+        return (ring_bound[i] > np.fmin.reduce(low[1])) & (ring_low[i] > margin)
+
+    seed = np.flatnonzero(ring_bound == ring_bound.min())
+    walk_rings(seed, radii.size, _block_rings(grid, max(chunk, 2)), scan, skip)
+    e = first[0].min()
+    if e < n:
+        i = np.flatnonzero(first[0] == e)
+        i = i[np.argmin(low[0, i])]
+        raise NearZeroError(
+            f"|{what}| = {low[0, i]:.3e} below margin at eps = {complex(eps[e])}, "
+            f"z = {complex(at[0, i])}"
+        )
+    best = low[1, np.argmin(low[1])]
+    i = np.flatnonzero(np.isnan(low[1]) if np.isnan(best) else low[1] == best)
+    i = i[np.argmin(first[1, i])]
+    return EpsilonScanResult(
+        float(best), complex(at[1, i]), complex(eps[first[1, i]]), bool(best > -margin)
+    )
 
 
 def epsilon_starlike_check(
@@ -460,11 +437,8 @@ def epsilon_starlike_check(
     size = ((1 + n) * (np.abs(h) + np.abs(g)))[None, 1:]  # over P = (h + eps g) / z
 
     def fields(r):
-        # A closed form on at most BLOCK_POINTS // 2 points (or one ring):
-        # numpy computes an operator whose operand is a temporary of 256 KiB
-        # (BLOCK_POINTS complex values) or more in place, swapping the
-        # operands of a product, and a complex product rounds differently
-        # then.  So a closed form gives the bits it gives on one ring.
+        # A closed form on at most BLOCK_POINTS // 2 points (or one ring),
+        # where it gives the bits it gives on one ring (see _block_rings).
         if m.closed_form is None:
             return ring_values(rows, r, grid.n_angles)
         z = (r[:, None] * angles).ravel()
@@ -474,8 +448,12 @@ def epsilon_starlike_check(
     # most BLOCK_POINTS values at a time, or one ring.
     work = np.empty((2, max(BLOCK_POINTS, grid.n_angles)), dtype=np.complex128)
 
+    last = [None, None]  # the rings of the last call and their fields
+
     def values(which, r):
-        hv, gv, zdh, zdg = fields(r)
+        if not np.array_equal(r, last[0]):  # the walk asks every chunk in turn
+            last[:] = r, fields(r)
+        hv, gv, zdh, zdg = last[1]
         den, num = work[:, : which.size * hv.size].reshape(2, which.size, hv.size)
         # eps written out in full: numpy multiplies by a broadcast eps several
         # times slower, to the same bits.

@@ -15,32 +15,21 @@ their minimum is > eps, spiral margins and unimodular-family minima when it
 is > -eps.  The witness is the first grid point, in radius-major order, that
 attains the minimum, or the first NaN (which fails), as for ``np.argmin``.
 
-:class:`GridField` walks the grid in blocks of rings and feeds one scan
-kernel: a series-backed map through the FFT, a closed form directly.  It
-evaluates a closed form on every ring, and a series-backed map only on the
-rings where lower bounds from its coefficient sums do not clear the minima
-found so far.  On |z| = r, with S0 = |b_1| + sum_{n >= 2} (|a_n| + |b_n|)
-r^(n-1), D = 1 - S0, E = sum (n - 1)|a_n| r^(n-1) + sum (n + 1)|b_n|
-r^(n-1), Sa = sum_{n >= 2} n |a_n| r^(n-1) and Sb = sum n |b_n| r^(n-1):
-|f| >= r D, J >= max(1 - Sa, 0)^2 - Sb^2, Re(phase Df/f) >= cos(lam) - E/D
-where D > 0, and the margin is at least M = r (B - sum A_n (|a_n| + |b_n|)
-r^(n-1)) >= r (B - 2 (S0 + Sa + Sb)), with also |f| >= M/2 and
-Re(phase Df/f) >= M / (2 r (1 + S0)) where M > 0 (:func:`ring_bounds`).
-Each bound is less a rounding allowance, ``BOUND_ROUNDING`` times the size
-sum T = sum (1 + n)(|h_n| + |g_n|) r^n (times (T/r)^2 for J and
-(1 + E/D) T / (r D) for the quotient).  The scan first evaluates the rings
-of each quantity's lowest bound, ties included, then the other rings
-radius-major, and merges each ring's minima at its radius-major place, so
-its results are those of evaluating every ring, bit for bit.
+:class:`GridField` feeds one scan kernel from two producers: a series-backed
+map through the FFT, a closed form directly.  Both it and
+``criteria.family_scan``, the one scan of both unimodular-family checks, walk
+the rings with :func:`walk_rings`: first the rings holding the lowest of the
+per-ring lower bounds of :func:`ring_bounds` (every ring when there are none,
+as for a closed form), then the other rings radius-major in blocks, skipping
+a ring only where its bounds clear the minima found so far.  Each scan keeps
+per-ring minima with their first minimisers (:func:`ring_minima`) and
+reduces them by value, then by order, so its results are those of
+evaluating every ring, bit for bit, whatever order the walk took.
 Horner (:meth:`PowerSeries.evaluate`) serves only points off the grid.  When
 n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
-at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.  Both
-unimodular-family checks run one scan, ``criteria.family_scan``: it evaluates
-members (series-backed ones with the FFT too) in chunks times blocks of rings
-of about ``BLOCK_POINTS`` values, and on a ring only where lower bounds on the
-member there leave it in play.
+at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.
 """
 
 from __future__ import annotations
@@ -328,25 +317,43 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 
 def _block_rings(grid: GridSpec, width: int = 1) -> int:
     """Rings per block: about ``BLOCK_POINTS // width`` points, at least one
-    ring, at most the whole grid."""
+    ring, at most the whole grid.
+
+    Closed forms are evaluated with ``width`` 2 or more, for one reason:
+    numpy computes an operator on a temporary of ``BLOCK_POINTS`` complex
+    values (256 KiB) or more in place, swapping the operands of a complex
+    product, which then rounds differently (FMA).  Below that size each
+    point gets the bits that ring-by-ring evaluation gives it, whatever the
+    grid or block."""
     return max(1, min(grid.n_radii, BLOCK_POINTS // (width * grid.n_angles)))
 
 
-def ring_blocks(grid: GridSpec, width: int = 1):
-    """Yield (radii, points) for consecutive blocks of rings, radius-major like
-    :func:`grid_points`, each of about ``BLOCK_POINTS // width`` points (at
-    least one ring).  A scan holding ``width`` values per point then holds
-    about ``BLOCK_POINTS`` values per block, whatever the grid.  The points
-    of every block are written into one buffer, so they are valid only until
-    the next block is drawn."""
-    radii, angles = grid_axes(grid)
-    step = _block_rings(grid, width)
-    points = np.empty(step * angles.size, dtype=np.complex128)
-    for i in range(0, radii.size, step):
-        r = radii[i : i + step]
-        z = points[: r.size * angles.size]
-        np.multiply(r[:, None], angles[None, :], out=z.reshape(r.size, angles.size))
-        yield r, z
+def walk_rings(first, count: int, step: int, scan, skip) -> None:
+    """Call ``scan(i)`` on blocks ``i`` of at most ``step`` ascending ring
+    indices: first the rings ``first``, then the other of the ``count``
+    rings radius-major, leaving out those where ``skip(i)`` (a mask over
+    ``i``) is True, asked again before each block."""
+    for s in range(0, first.size, step):
+        scan(first[s : s + step])
+    rest = np.ones(count, dtype=bool)
+    rest[first] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        rest = rest[~skip(rest)]
+    for s in range(0, rest.size, step):
+        i = rest[s : s + step]
+        i = i[~skip(i)]  # the minima may have fallen
+        if i.size:
+            scan(i)
+
+
+def ring_minima(values, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's minimum on each ring of ``values`` (shape (S, R * n_angles),
+    radius-major) and the column of its first minimiser, as ``np.argmin``
+    takes it (the first NaN, if any): two arrays of shape (S, R)."""
+    k = values.reshape(values.shape[0], -1, n_angles).argmin(axis=2)
+    k += np.arange(0, values.shape[1], n_angles)  # the rings' first columns
+    return values[np.arange(k.shape[0])[:, None], k], k
 
 
 def _fold(spectrum, rows, powers) -> None:
@@ -535,13 +542,14 @@ class GridField:
     margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
 
     Rings are evaluated in blocks of at most ``BLOCK_POINTS`` points (half
-    that for a closed form) and only each ring's minima are kept, so memory
-    does not grow with ``n_radii`` beyond a few numbers per ring.  The four
-    results are ``ScanResult.minimum`` over the whole grid: each ring's first
-    minimiser, then the first ring attaining the least of them, radius-major,
-    a NaN before any number.  ``pointwise`` is None exactly when min |f| is
-    not above margin_eps (NaN included); the quotient is not formed once |f|
-    has dipped below it.  ``rings_evaluated`` counts the rings evaluated.
+    that for a closed form, see :func:`_block_rings`) and only each ring's
+    minima are kept, so memory does not grow with ``n_radii`` beyond a few
+    numbers per ring.  The four results are ``ScanResult.minimum`` over the
+    whole grid: each ring's first minimiser, then the first ring attaining
+    the least of them, a NaN before any number.  ``pointwise`` is None
+    exactly when min |f| is not above margin_eps (NaN included); the
+    quotient is not formed once |f| has dipped below it.
+    ``rings_evaluated`` counts the rings evaluated.
 
     One kernel, :meth:`_scan`, takes f, phase Df and the Jacobian of a block
     and records the four minima of each ring; two producers feed it.  For a
@@ -553,44 +561,19 @@ class GridField:
     starts, holds the spectra (which become the fields), the four values per
     point and the points; per block only the FFT's output (at most
     ``BLOCK_POINTS`` values), the power table and the fold temporaries are
-    new, the last up to
-    3 R min(N + 1, n_angles) values for R rings and order N.
+    new, the last up to 3 R min(N + 1, n_angles) values for R rings and
+    order N.  A closed form is evaluated from h, g, h', g'; its products run
+    in place in the operand order of the plain expressions.
 
-    A series-backed map is not evaluated on every ring.  On |z| = r let
-    S0 = |b_1| + sum_{n >= 2} (|a_n| + |b_n|) r^(n-1), D = 1 - S0,
-    E = sum (n - 1)|a_n| r^(n-1) + sum (n + 1)|b_n| r^(n-1),
-    Sa = sum_{n >= 2} n |a_n| r^(n-1), Sb = sum n |b_n| r^(n-1) and
-    B = |1 + phase| - |1 - phase|.  Then, for unimodular phase,
-    |f| >= r D, J >= max(1 - Sa, 0)^2 - Sb^2, Re(phase Df/f) >=
-    Re(phase) - E/D where D > 0, and the margin is at least
-    M = r (B - sum A_n (|a_n| + |b_n|) r^(n-1)) with the weight table's
-    A_n = |1 + n phase| + |1 - n phase|, so at least r (B - 2 (S0 + Sa +
-    Sb)); where M > 0 also |f| >= M/2 and Re(phase Df/f) >= M / (2 r (1 +
-    S0)).  :func:`ring_bounds` gives each ring these bounds less an
-    allowance of ``BOUND_ROUNDING`` times the size sum T = sum (1 + n)(|h_n|
-    + |g_n|) r^n (times (T/r)^2 for J and (1 + E/D) T / (r D) for the
-    quotient), so each is at most every value the FFT computes on the ring;
-    a bound that is not finite is -inf.
-
-    The walk: one pass evaluates the rings holding each quantity's lowest
-    bound, ties included, so every ring without a bound and, when a bound
-    does not depend on r (an order-1 map), every ring.  The other rings are
-    then walked radius-major in blocks, and a ring is evaluated only when one
-    of its bounds does not clear that quantity's running minimum, checked
-    again before each block; a NaN minimum is cleared by none, and the
-    quotient's bound stops counting once pointwise is None.  A skipped ring
-    holds no minimum, tie or NaN of any quantity, and each ring's minima are
-    merged at its radius-major place, so the four results, their witnesses
-    and the None rule are those of evaluating every ring, bit for bit.  A
-    closed form has no bounds and is evaluated on every ring.
-
-    A closed form is evaluated from h, g, h', g' on blocks of at most
-    ``BLOCK_POINTS // 2`` points (or one ring), and its products run in place
-    in the operand order of the plain expressions.  numpy computes an
-    operator on a temporary of ``BLOCK_POINTS`` complex values (256 KiB) or
-    more in place, swapping the operands of a complex product, which then
-    rounds differently (FMA); below that size each point gets the bits that
-    ring-by-ring evaluation gives it, whatever the grid."""
+    The walk (:func:`walk_rings`) first evaluates the rings holding each
+    quantity's lowest :func:`ring_bounds` bound, ties included: every ring
+    of a closed form, which has no bounds (all -inf), and of a map whose
+    bounds do not depend on r (order 1).  It evaluates another ring only
+    when one of its bounds does not clear that quantity's running minimum; a
+    NaN minimum is cleared by none, and the quotient's bound stops counting
+    once pointwise is None.  A skipped ring holds no minimum, tie or NaN of
+    any quantity, so the four results, their witnesses and the None rule are
+    those of evaluating every ring, bit for bit."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
@@ -601,14 +584,42 @@ class GridField:
         self._at = np.zeros((4, grid.n_radii), dtype=np.complex128)
         self._divide = True  # every ring so far has |f| > margin_eps
         self._rings = 0
-        if m.closed_form is None:
-            self._scan_rings(m)
+        radii, angles = grid_axes(grid)
+        series = m.closed_form is None
+        if series:
+            h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
+            np.abs(m.a, out=h[0, 1:])
+            bounds = ring_bounds(h, radii, phase, np.abs(m.b)[None])[:, 0]
+            rows, step = field_rows(m), _block_rings(grid)
         else:
-            vals = np.empty((4, _block_rings(grid, 2) * grid.n_angles))
-            start = 0
-            for r, z in ring_blocks(grid, 2):
-                self._scan_closed_form(m, slice(start, start + r.size), z, vals)
-                start += r.size
+            bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
+        # One workspace: a series' spectra, which become its fields, then the
+        # four values per point, then the points.
+        size = step * angles.size
+        work = np.empty((6 if series else 3) * size, dtype=np.complex128)
+        vals = work[-3 * size : -size].view(np.float64).reshape(4, size)
+        points = work[-size:]
+
+        def scan(i):  # the rings i, ascending, at most step of them
+            r, n = radii[i], i.size * angles.size
+            z = points[:n]
+            np.multiply(r[:, None], angles[None, :], out=z.reshape(i.size, -1))
+            if not series:
+                return self._scan_closed_form(m, i, z, vals)
+            f, d, p = ring_fields(rows, r, work[: 3 * n].reshape(3, i.size, -1))
+            jac, b = vals[_JACOBIAN, :n], vals[_MARGIN, :n]
+            np.multiply(p.real, d.real, out=jac)  # J = Re(P/z conj(Df/z))
+            np.add(jac, np.multiply(p.imag, d.imag, out=b), out=jac)
+            np.multiply(phase, np.multiply(z, d, out=d), out=d)  # phase Df
+            self._scan(i, z, f, d, p, p.view(np.float64)[:n], vals)
+
+        def skip(i):  # the rings i whose bounds clear the running minima
+            clear = bounds[:, i] > self._low.min(axis=1)[:, None]  # NaN clears none
+            clear[_QUOTIENT] |= not self._divide
+            return clear.all(axis=0)
+
+        first = np.flatnonzero((bounds <= bounds.min(axis=1)[:, None]).any(axis=0))
+        walk_rings(first, radii.size, step, scan, skip)
         q, k = np.arange(4), np.argmin(self._low, axis=1)  # NaN first, then the first ring
         for (name, sign), low, at in zip(_SCANS, self._low[q, k].tolist(), self._at[q, k].tolist()):
             setattr(self, name, ScanResult(low, at, low > sign * grid.margin_eps))
@@ -624,8 +635,7 @@ class GridField:
         # f and phase Df on the points z of the rings ``rings``, with the
         # Jacobian in row _JACOBIAN of vals, real rows the kernel writes the
         # four values into; the complex c and the real b are scratch, and
-        # rot_df once read.  Each ring's minima and first minimisers are those
-        # np.argmin takes (the first NaN, if any).
+        # rot_df once read.
         n = z.size
         a = vals[_ABS, :n]
         np.abs(f, out=a)
@@ -636,13 +646,9 @@ class GridField:
         np.abs(np.add(f, rot_df, out=c), out=a)
         np.abs(np.subtract(f, rot_df, out=rot_df), out=b)
         np.subtract(a, b, out=a)
-        count = n // self.grid.n_angles
-        k = vals[:, :n].reshape(4, count, -1).argmin(axis=2)
-        k += np.arange(0, n, self.grid.n_angles)  # the rings' first points
+        self._low[:, rings], k = ring_minima(vals[:, :n], self.grid.n_angles)
         self._at[:, rings] = z[k]
-        k += np.arange(0, vals.size, vals.shape[1])[:, None]  # the rows' first values
-        self._low[:, rings] = vals.ravel()[k]
-        self._rings += count
+        self._rings += rings.size
 
     def _scan_closed_form(self, m, rings, z, vals):
         # The evaluators are module names looked up per call, so wrappers set
@@ -655,49 +661,6 @@ class GridField:
         np.multiply(z, dg, out=dg)
         np.subtract(dh, np.conj(dg, out=dg), out=dh)
         self._scan(rings, z, f, np.multiply(self.phase, dh, out=dh), dg, b, vals)
-
-    def _scan_rings(self, m):
-        radii, angles = grid_axes(self.grid)
-        h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
-        np.abs(m.a, out=h[0, 1:])
-        bounds = ring_bounds(h, radii, self.phase, np.abs(m.b)[None])[:, 0]
-        rows = field_rows(m)
-        n_angles, step = angles.size, _block_rings(self.grid)
-        # One workspace: the spectra, which become the fields, then the four
-        # values per point, then the points.
-        size = step * n_angles
-        work = np.empty(6 * size, dtype=np.complex128)
-        vals = work[3 * size : 5 * size].view(np.float64).reshape(4, size)
-        points = work[5 * size :]
-
-        def scan(i):  # the rings i, ascending, at most step of them
-            r, n = radii[i], i.size * n_angles
-            f, d, p = ring_fields(rows, r, work[: 3 * n].reshape(3, i.size, n_angles))
-            z = points[:n]
-            np.multiply(r[:, None], angles[None, :], out=z.reshape(i.size, n_angles))
-            jac, b = vals[_JACOBIAN, :n], vals[_MARGIN, :n]
-            np.multiply(p.real, d.real, out=jac)  # J = Re(P/z conj(Df/z))
-            np.add(jac, np.multiply(p.imag, d.imag, out=b), out=jac)
-            np.multiply(self.phase, np.multiply(z, d, out=d), out=d)  # phase Df
-            self._scan(i, z, f, d, p, p.view(np.float64)[:n], vals)
-
-        def live(i):  # the rings i whose bounds do not clear the running minima
-            clear = bounds[:, i] > self._low.min(axis=1)[:, None]  # NaN clears none
-            clear[_QUOTIENT] |= not self._divide
-            return i[~clear.all(axis=0)]
-
-        first = np.flatnonzero((bounds <= bounds.min(axis=1)[:, None]).any(axis=0))
-        for s in range(0, first.size, step):
-            scan(first[s : s + step])
-        if first.size == radii.size:
-            return
-        rest = np.ones(radii.size, dtype=bool)
-        rest[first] = False
-        rest = live(np.flatnonzero(rest))
-        for s in range(0, rest.size, step):
-            i = live(rest[s : s + step])  # the minima may have fallen
-            if i.size:
-                scan(i)
 
 
 def sense_preserving_on_grid(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spiralmaps import criteria, harmonic
 from spiralmaps.construct import (
     ConstraintError,
     catalog,
@@ -20,6 +21,7 @@ from spiralmaps.construct import (
     random_sufficient_map,
     transform_exponent,
     transform_family_check,
+    transform_identity_defect,
 )
 from spiralmaps.criteria import (
     EpsilonScanResult,
@@ -247,9 +249,10 @@ def test_peak_memory_does_not_grow_with_the_radii():
 
 
 def test_dense_scan_peak_memory_is_a_few_block_arrays():
-    # Measured: 8.7 block arrays at orders 64 and 256 (five for the spectra,
-    # the points and the real scratch, three for the FFT output, the rest
-    # grid axes and power tables), against 13.2 before the scan kept one
+    # Measured: 7.3 block arrays at order 64 and 7.35 at order 256 (six for
+    # the workspace: three for the spectra, two for the four real values per
+    # point, one for the points; one for a field's FFT output; the rest grid
+    # axes and power tables), against 13.2 before the scan kept one
     # workspace and three spectra per block.
     p = SpiralParams(math.pi / 4)
     grid = GridSpec(n_radii=200, n_angles=2048)
@@ -908,3 +911,58 @@ def test_pruned_transform_scan_is_the_full_sampled_scan(
     p = SpiralParams(lam)
     want = eps_outcome(lambda: every_pair_transform_check(H, G, p, grid, n_eps, orientation))
     assert eps_outcome(lambda: transform_family_check(H, G, p, grid, n_eps, orientation)) == want
+
+
+# ------------------------------------------------ results free of the block size
+#
+# Every scan walks the grid in blocks of about BLOCK_POINTS values.  The block
+# size decides the pruning and the memory, never the results: blocks of one
+# ring and blocks of 16,384 points give the same bits and the same error text.
+
+
+def block_outcomes(seed: int, order: int, grid: GridSpec, n_eps: int, lam: float) -> list:
+    """The result reprs or error texts of GridField on a series-backed map and
+    on every closed form of the catalog, of both family checks and of the
+    transform identity defect, on inputs drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    p = SpiralParams(lam)
+    kinds = ["sufficient", "signed", "budget", "steep", "constant", "overflow", "zero"]
+    maps = [walk_input(str(rng.choice(kinds)), rng, order, lam)]
+    closed = ("f4", "koebe", "harmonic_koebe", "half_plane")
+    maps += [catalog(name, p=p, alpha=0.5) for name in closed]
+    e = pruning_input(str(rng.choice(PRUNING_KINDS.elements)), rng, order, n_eps)
+    kinds = ["random", "steep", "parity", "flat", "constant", "overflow"]
+    H, G = transform_pruning_input(str(rng.choice(kinds)), rng, order)
+    g = family_map(int(rng.integers(2**32)), order, rng.uniform(0.05, 1.3)).h_series()
+
+    def scans(f: GridField):
+        return f.nonvanishing, f.pointwise, f.sense_preserving, f.margin
+
+    return [eps_outcome(lambda: scans(GridField(m, grid, p.phase))) for m in maps] + [
+        eps_outcome(lambda: epsilon_starlike_check(e, grid, n_eps)),
+        eps_outcome(lambda: transform_family_check(H, G, p, grid, n_eps)),
+        eps_outcome(lambda: transform_identity_defect(g, p, grid)),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 24),
+       st.sampled_from([8, 24, 64, 256, 2048]), st.integers(1, 6), st.booleans(),
+       st.floats(-1.2, 1.2), st.data())
+def test_scans_do_not_depend_on_the_block_size(
+    seed, order, n_eps, n_angles, n_radii, dense, lam, data
+):
+    if dense:  # several blocks at the default size
+        n_radii += BLOCK_POINTS // n_angles
+    r_min = data.draw(st.floats(1e-3, 0.6), label="r_min")
+    r_max = data.draw(st.floats(r_min + 0.01, 0.995), label="r_max")
+    grid = GridSpec(r_min=r_min, r_max=r_max, n_radii=n_radii, n_angles=n_angles)
+    block = data.draw(st.integers(n_angles, BLOCK_POINTS), label="block")  # one ring and up
+    want = block_outcomes(seed, order, grid, n_eps, lam)
+    saved = harmonic.BLOCK_POINTS, criteria.BLOCK_POINTS
+    harmonic.BLOCK_POINTS = criteria.BLOCK_POINTS = block
+    try:
+        got = block_outcomes(seed, order, grid, n_eps, lam)
+    finally:
+        harmonic.BLOCK_POINTS, criteria.BLOCK_POINTS = saved
+    assert got == want
