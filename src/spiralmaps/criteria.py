@@ -14,6 +14,7 @@ reliably but certify only in the sampled sense, and reports mark them so.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,7 @@ from .harmonic import (
     g_values,
     grid_axes,
     h_values,
+    part_values,
     ring_bounds,
     ring_minima,
     ring_values,
@@ -107,16 +109,26 @@ class WeightTable:
 
 
 def weight_table(p: SpiralParams, n_max: int) -> WeightTable:
-    """Compute the weight table by direct complex modulus arithmetic."""
+    """Compute the weight table by direct complex modulus arithmetic.
+
+    The weights are memoised per angle and n_max: a report asks for the same
+    table up to four times."""
     if n_max < 1:
         raise ValueError("weight table needs n_max >= 1")
-    e = np.exp(-1j * p.lam)
+    a, b = _weights(p.lam, n_max)
+    return WeightTable(A=a, B=b, lam=p.lam)
+
+
+@functools.lru_cache
+def _weights(lam: float, n_max: int) -> tuple[np.ndarray, float]:
+    # lam = -0.0 may share the entry of 0.0: the weights are the same.
+    e = np.exp(-1j * lam)
     n = np.arange(1, n_max + 1)
     a = np.abs(1.0 + n * e) + np.abs(1.0 - n * e)
     b = float(np.abs(1.0 + e) - np.abs(1.0 - e))
     full = np.concatenate([[np.nan], a])
     full.flags.writeable = False
-    return WeightTable(A=full, B=b, lam=p.lam)
+    return full, b
 
 
 @dataclass(frozen=True)
@@ -237,10 +249,7 @@ def spiral_inequality_sides(
     zc = complex(z)
     if zc == 0:
         return (0.0, 0.0)
-    hv = h_values(m, zc)
-    gv = g_values(m, zc)
-    dhv = dh_values(m, zc)
-    dgv = dg_values(m, zc)
+    hv, gv, dhv, dgv = part_values(m, zc)
     el = p.phase
     analytic_side = (el * zc * dhv * np.conj(hv)).real
     coanalytic_side = (np.conj(el) * zc * dgv * np.conj(gv)).real

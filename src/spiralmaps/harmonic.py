@@ -25,7 +25,10 @@ a ring only where its bounds clear the minima found so far.  Each scan keeps
 per-ring minima with their first minimisers (:func:`ring_minima`) and
 reduces them by value, then by order, so its results are those of
 evaluating every ring, bit for bit, whatever order the walk took.
-Horner (:meth:`PowerSeries.evaluate`) serves only points off the grid.  When
+Points off the grid go through Horner (:func:`~spiralmaps.series.horner`):
+:func:`part_values` gives h, g, h' and g' of a series at the witness from one
+loop over their four stacked rows, bit for bit as four separate
+:meth:`PowerSeries.evaluate` calls.  When
 n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
@@ -34,13 +37,14 @@ at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, PowerSeries
+from .series import DEFAULT_ORDER, PowerSeries, horner
 
 #: Tolerance used when validating the sign-restricted coefficient shape.
 SIGN_SHAPE_TOL = 1e-12
@@ -192,6 +196,9 @@ class GridSpec:
             raise ValueError("r_min must lie in (0, 1)")
         if not self.r_min < self.r_max < 1.0:
             raise ValueError("r_max must lie in (r_min, 1)")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n_radii, self.n_angles)):
+            # 40.0 == 40, so a float count would share a memoised grid's axes
+            raise ValueError("n_radii and n_angles must be integers")
         if self.n_radii < 1:
             raise ValueError("need at least one radius")
         if self.n_angles < 8:
@@ -207,12 +214,17 @@ class GridSpec:
             raise ValueError("margin_eps must be finite and nonnegative")
 
 
+@functools.lru_cache
 def grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's radii and unit angle points; a grid point is their product."""
+    """The grid's radii and unit angle points; a grid point is their product.
+
+    Memoised per (frozen) grid, so equal grids share the two arrays, which
+    are read-only."""
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
     if grid.n_angles % 4 == 0:  # the axis points exactly, as the FFT has them
         angles[:: grid.n_angles // 4] = [1, 1j, -1, -1j]
+    radii.flags.writeable = angles.flags.writeable = False
     return radii, angles
 
 
@@ -275,6 +287,23 @@ def dh_values(m: HarmonicMapSpec, z) -> np.ndarray:
 
 def dg_values(m: HarmonicMapSpec, z) -> np.ndarray:
     return _values(m, z, "dg")
+
+
+def part_values(m: HarmonicMapSpec, z):
+    """h, g, h' and g' at z, each a complex for a scalar z.
+
+    A series-backed map evaluates its four coefficient rows in one stacked
+    Horner loop (:func:`~spiralmaps.series.horner`), which gives the bits of
+    :func:`h_values`, :func:`g_values`, :func:`dh_values` and
+    :func:`dg_values`; a closed form calls those four."""
+    zarr, scalar = _as_points(z)
+    if m.closed_form:
+        out = [f(m, zarr) for f in (h_values, g_values, dh_values, dg_values)]
+    else:
+        h, g = m.h_coefficients(), m.g_coefficients()
+        n = np.arange(1, h.size)  # as PowerSeries.differentiate has it
+        out = horner([h, g, h[1:] * n, g[1:] * n], zarr)
+    return tuple(complex(v[0]) for v in out) if scalar else tuple(out)
 
 
 def _require_in_disk(z):
@@ -436,6 +465,19 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     return spectrum.reshape(3, -1)
 
 
+def _ring_powers(r, width: int) -> np.ndarray:
+    """r^j for j < ``width`` on each radius r: shape (width, r.size).
+
+    Entry j = s k + i, with i < s and s about sqrt(width), is r^(s k) r^i:
+    two small power tables and one product per entry, in place of a power
+    per entry.  The product adds at most one rounding, a few ulps in all,
+    and the entries j < s, r^0 = 1 among them, are those of ``r ** j``."""
+    s = math.isqrt(width - 1) + 1
+    low = r ** np.arange(s)[:, None]
+    high = r ** np.arange(0, width, s)[:, None, None]
+    return (high * low).reshape(-1, r.size)[:width]
+
+
 #: Rounding allowance of the per-ring lower bounds, relative to the size of
 #: what they bound: about 4,500 ulps, where each bound and each computed
 #: value carries a few dozen.
@@ -466,8 +508,15 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
     margin and the upper bound on |F|, R (T/r)^2 for J and
     R (1 + |phase| E/D) T / (r D) for the quotient, R = ``BOUND_ROUNDING``.
     With ``count`` 2 the bounds from M are left out.  A bound is -inf where
-    it is not finite or has no case that holds.  The power tables hold at
-    most ``BLOCK_POINTS`` entries.
+    it is not finite or has no case that holds.
+
+    The sums are one product of their coefficient rows with a table of r^j
+    per block of rings, at most about ``BLOCK_POINTS`` entries, built as
+    r^(s k) r^i with i < s, s about sqrt(width) (:func:`_ring_powers`).  That
+    costs two small power tables and one product per entry, and adds at most
+    one rounding per entry to what ``r ** j`` gives: a few ulps of each sum,
+    where the allowance is about 4,500.  r^0 is exactly 1, so a sum that does
+    not depend on r comes out the same on every ring.
     """
     members, width = mag.shape
     j = np.arange(width)
@@ -511,7 +560,7 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
         ri = r[s : s + step]
         # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
         # about 0.4 MB of resident memory that nothing else here needs.
-        x = np.einsum("mj,jr->mr", rows, ri ** j[:, None]).reshape(-1, members, ri.size)
+        x = np.einsum("mj,jr->mr", rows, _ring_powers(ri, width)).reshape(-1, members, ri.size)
         d, e, t = x[:3]
         bound = out[:, :, s : s + step]
         ratio = e / d
@@ -567,13 +616,14 @@ class GridField:
 
     The walk (:func:`walk_rings`) first evaluates the rings holding each
     quantity's lowest :func:`ring_bounds` bound, ties included: every ring
-    of a closed form, which has no bounds (all -inf), and of a map whose
-    bounds do not depend on r (order 1).  It evaluates another ring only
-    when one of its bounds does not clear that quantity's running minimum; a
-    NaN minimum is cleared by none, and the quotient's bound stops counting
-    once pointwise is None.  A skipped ring holds no minimum, tie or NaN of
-    any quantity, so the four results, their witnesses and the None rule are
-    those of evaluating every ring, bit for bit."""
+    of a closed form, which has no bounds (all -inf), and of an affine map,
+    h = z and g = b_1 z, whose quotient bound is the same on every ring, so
+    it is given none either and does not pay for them.  It evaluates another
+    ring only when one of its bounds does not clear that quantity's running
+    minimum; a NaN minimum is cleared by none, and the quotient's bound stops
+    counting once pointwise is None.  A skipped ring holds no minimum, tie or
+    NaN of any quantity, so the four results, their witnesses and the None
+    rule are those of evaluating every ring, bit for bit."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
@@ -586,13 +636,13 @@ class GridField:
         self._rings = 0
         radii, angles = grid_axes(grid)
         series = m.closed_form is None
-        if series:
+        if series and (m.a.any() or m.b[1:].any()):
             h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
             np.abs(m.a, out=h[0, 1:])
             bounds = ring_bounds(h, radii, phase, np.abs(m.b)[None])[:, 0]
-            rows, step = field_rows(m), _block_rings(grid)
-        else:
-            bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
+        else:  # none for a closed form; for h = z, g = b_1 z the same on every ring
+            bounds = np.full((4, radii.size), -np.inf)
+        rows, step = (field_rows(m), _block_rings(grid)) if series else (None, _block_rings(grid, 2))
         # One workspace: a series' spectra, which become its fields, then the
         # four values per point, then the points.
         size = step * angles.size

@@ -148,20 +148,14 @@ class PowerSeries:
         return PowerSeries(self._c[1:] * k)
 
     def evaluate(self, z):
-        """Horner evaluation of the truncated polynomial.
+        """Horner evaluation of the truncated polynomial (:func:`horner` of
+        its one row).
 
         Accepts a complex scalar or ndarray.  The series approximates its
         analytic parent only for |z| <= 1; this is documented, not enforced.
         """
-        zarr = np.asarray(z, dtype=np.complex128)
-        if not np.all(np.isfinite(zarr)):
-            raise ValueError("non-finite evaluation point rejected")
-        acc = np.full(zarr.shape, self._c[-1])
-        for c in self._c[-2::-1]:
-            acc = acc * zarr + c
-        if zarr.ndim == 0:
-            return complex(acc)
-        return acc
+        out = horner([self._c], z)[0]
+        return complex(out) if out.ndim == 0 else out
 
     __call__ = evaluate
 
@@ -180,6 +174,41 @@ class PowerSeries:
     def times_z(self) -> "PowerSeries":
         """Prepend a zero constant term; order increases by one."""
         return PowerSeries(np.concatenate([np.zeros(1, dtype=np.complex128), self._c]))
+
+
+def horner(rows, z) -> np.ndarray:
+    """Values at ``z`` of the polynomials whose coefficients c_0, c_1, ...
+    are the ``rows``, which may differ in length: shape (len(rows),
+    *np.shape(z)).  Raises ValueError on a non-finite point.
+
+    One Horner loop runs over the rows stacked as the columns of a matrix
+    zero-padded at the high end.  Each row starts at its own top coefficient
+    rather than at a padded zero, which could turn a top coefficient of -0.0
+    into +0.0, so every row gets the bits of its own evaluation.
+    """
+    zarr = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(zarr)):
+        raise ValueError("non-finite evaluation point rejected")
+    tops = {}  # column -> the shorter rows whose top coefficient it holds
+    if len(rows) == 1:  # scalar coefficients: numpy adds them faster than one-value arrays
+        cols = np.asarray(rows[0], dtype=np.complex128)
+        acc = np.full(zarr.shape, cols[-1])
+    else:
+        c = np.zeros((max(len(row) for row in rows), len(rows)), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            c[: len(row), i] = row
+            if len(row) < len(c):
+                tops.setdefault(len(row) - 1, []).append(i)
+        cols = c.reshape(c.shape + (1,) * zarr.ndim)
+        acc = np.full((len(rows),) + zarr.shape, cols[-1])
+    done = len(cols) - 1  # acc holds the Horner sums from column done up
+    for top in sorted(tops.keys() | {0}, reverse=True):
+        for ck in cols[top:done][::-1]:
+            acc = acc * zarr + ck
+        if top in tops:
+            acc[tops[top]] = cols[top][tops[top]]
+        done = top
+    return acc.reshape((len(rows),) + zarr.shape)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ from spiralmaps.harmonic import (
     ring_fields,
     ring_values,
 )
-from spiralmaps.series import PowerSeries, pow_rows, pow_series
+from spiralmaps.series import MAX_ORDER, PowerSeries, pow_rows, pow_series
 
 #: Angle counts below, at and far above typical truncation orders, so that
 #: n is folded mod n_angles in some draws and not in others.
@@ -381,6 +381,77 @@ def test_dense_scans_evaluate_few_rings():
         c = catalog(name, p=p, alpha=0.5)
         if c.closed_form is not None:
             assert GridField(c, GridSpec(), p.phase).rings_evaluated == GridSpec().n_radii, name
+
+
+def test_affine_maps_skip_the_ring_bounds(monkeypatch):
+    # h = z, g = b_1 z: the quotient bound is the same on every ring, so every
+    # ring is a seed and GridField gives the map no bounds at all.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return ring_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "ring_bounds", counted)
+    grid = GridSpec(n_radii=9, n_angles=24)
+    for order in (1, 2, 64):
+        for b1 in (0.0, 0.3 - 0.4j, 1.0, 1.5j):
+            m = HarmonicMapSpec(a=[], b=[b1], truncation_order=order)
+            for lam in (0.0, -1.1):
+                phase = SpiralParams(lam).phase
+                with np.errstate(all="ignore"):
+                    got = GridField(m, grid, phase)
+                want, _ = every_ring_scan(m, grid, phase)
+                for name, scan in want.items():
+                    assert repr(getattr(got, name)) == repr(scan), (order, b1, lam, name)
+                assert got.rings_evaluated == grid.n_radii
+    assert calls == []
+    GridField(HarmonicMapSpec(a=[], b=[0.1, 0.01], truncation_order=2), grid)
+    assert calls == [(1, 2)]
+
+
+def exact_ring_powers(r, width):
+    return r ** np.arange(width)[:, None]
+
+
+@pytest.mark.parametrize("order", [1024, MAX_ORDER])
+@pytest.mark.parametrize("kind", ["series", "signed", "steep"])
+def test_ring_bounds_at_high_orders(monkeypatch, order, kind):
+    # The two-level power table r^(s k) r^i moves each bound by far less
+    # than its rounding allowance, and no bound exceeds its ring's minimum.
+    rng = np.random.default_rng(order + len(kind))
+    p = SpiralParams(0.6)
+    if kind == "series":
+        m = random_series_map(rng, order, 0.6)
+    elif kind == "signed":  # meets its |f| and quotient bounds on the positive axis
+        m = random_signed_map(rng, p, order=order, n_terms=order // 2)
+    else:  # h = z + c z^k, k near the order: the table's last entries carry the sums
+        a = np.zeros(order - 1, dtype=np.complex128)
+        a[-rng.integers(1, 20)] = 0.5 * cmath.exp(2j * math.pi * rng.random())
+        m = HarmonicMapSpec(a=a, b=[0.1], truncation_order=order)
+    grid = GridSpec(r_min=0.99, r_max=0.9995, n_radii=4, n_angles=64)
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
+    h = np.ones((1, order))
+    h[0, 1:] = np.abs(m.a)
+    family = np.abs(m.h_coefficients()[1:] + 0.5j * m.g_coefficients()[1:])[None]
+    size = ((1 + np.arange(order + 1)) * (np.abs(m.h_coefficients()) + np.abs(m.g_coefficients())))[None, 1:]
+
+    def bounds():
+        return (ring_bounds(h, radii, p.phase, np.abs(m.b)[None])[:, 0],
+                ring_bounds(family, radii, size=size, count=2)[:, 0])
+
+    got = bounds()
+    monkeypatch.setattr(harmonic, "_ring_powers", exact_ring_powers)
+    exact = bounds()
+    monkeypatch.setattr(harmonic, "BOUND_ROUNDING", 0.0)
+    bare = bounds()
+    for b, e, z in zip(got, exact, bare):
+        assert np.all(np.isfinite(e[:2])), e  # bounds that hold, not -inf
+        allowance = z - e  # what BOUND_ROUNDING takes off each bound
+        assert np.all(allowance > 0)
+        assert np.all(np.abs(b - e) <= 1e-2 * allowance), np.abs(b - e) / allowance
+    _, minima = every_ring_scan(m, grid, p.phase)
+    assert not np.any(got[0] > minima), np.argwhere(got[0] > minima)
 
 
 # ------------------------------------------------------- unimodular families

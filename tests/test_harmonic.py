@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spiralmaps.harmonic import (
     MAX_ANGLES,
@@ -11,14 +12,16 @@ from spiralmaps.harmonic import (
     HarmonicMapSpec,
     d_operator,
     eval_f,
+    grid_axes,
     grid_points,
     identity_map,
     jacobian,
     nonvanishing_on_grid,
     pair_d_operator,
+    part_values,
     sense_preserving_on_grid,
 )
-from spiralmaps.series import PowerSeries
+from spiralmaps.series import PowerSeries, horner
 
 
 def affine(alpha, order=1):
@@ -203,6 +206,12 @@ class TestGridSpecValidation:
             with pytest.raises(ValueError):
                 GridSpec(n_radii=n_radii, n_angles=n_angles)
 
+    def test_counts_must_be_integers(self):
+        GridSpec(n_radii=np.int64(6), n_angles=np.int32(16))
+        for n_radii, n_angles in ((6.0, 16), (6, 16.0), (6, "16")):
+            with pytest.raises(ValueError, match="integers"):
+                GridSpec(n_radii=n_radii, n_angles=n_angles)
+
     def test_bad_margin(self):
         for eps in (-1e-9, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -215,3 +224,88 @@ class TestGridSpecValidation:
     def test_too_many_coefficients(self):
         with pytest.raises(ValueError):
             HarmonicMapSpec(a=[0.1, 0.2], b=[], truncation_order=2)
+
+
+# ------------------------------------------------------ the stacked evaluator
+#
+# part_values evaluates h, g, h' and g' of a series in one Horner loop over
+# their stacked rows.  Its values must carry the bits of four separate
+# PowerSeries.evaluate calls: the inequality sides at the witness are
+# reported, and golden files hold them at full precision.
+
+
+def random_rows(rng, lengths, zeros: bool) -> list:
+    """Coefficient rows of the given lengths, of mixed scales; with ``zeros``
+    some entries (top ones included) are -0.0 or +0.0."""
+    rows = []
+    for n in lengths:
+        c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * rng.uniform(0.01, 3.0)
+        c /= np.arange(1, n + 1) ** rng.uniform(0.0, 2.0)
+        if zeros and n:
+            hit = rng.random(n) < 0.3
+            hit[-1] = rng.random() < 0.7
+            c.real[hit] = rng.choice([-0.0, 0.0], size=hit.sum())
+            c.imag[hit & (rng.random(n) < 0.5)] = -0.0
+        rows.append(c)
+    return rows
+
+
+def evaluation_points(rng, kind: str):
+    """A scalar, an array of up to 40 points, or a grid witness (an exact axis
+    point in half the draws); |z| <= 0.999."""
+    if kind == "scalar":
+        return complex(rng.uniform(0.0, 0.999) * np.exp(2j * np.pi * rng.random()))
+    if kind == "array":
+        size = int(rng.integers(1, 41))
+        return rng.uniform(0.0, 0.999, size) * np.exp(2j * np.pi * rng.random(size))
+    grid = GridSpec(r_max=0.999, n_radii=int(rng.integers(1, 50)), n_angles=4 * int(rng.integers(2, 600)))
+    radii, angles = grid_axes(grid)
+    k = int(rng.integers(grid.n_angles))
+    if rng.random() < 0.5:
+        k -= k % (grid.n_angles // 4)  # 1, 1j, -1 or -1j
+    return complex(radii[rng.integers(radii.size)] * angles[k])
+
+
+def as_bits(v) -> str:
+    return repr(np.asarray(v).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 512), st.integers(0, 2**32 - 1), st.sampled_from(["scalar", "array", "witness"]),
+       st.booleans())
+def test_stacked_evaluator_is_four_evaluations(order, seed, kind, zeros):
+    rng = np.random.default_rng(seed)
+    a, b = random_rows(rng, [order - 1, order], zeros)
+    m = HarmonicMapSpec(a=a, b=b, truncation_order=order)
+    z = evaluation_points(rng, kind)
+    h, g = m.h_series(), m.g_series()
+    want = [s.evaluate(z) for s in (h, g, h.differentiate(), g.differentiate())]
+    got = part_values(m, z)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [as_bits(v) for v in got] == [as_bits(v) for v in want]
+    # Rows of any lengths, each as its own series.
+    rows = random_rows(rng, rng.integers(1, order + 2, size=int(rng.integers(1, 6))), zeros)
+    got = horner(rows, z)
+    assert got.shape == (len(rows),) + np.shape(z)
+    assert [as_bits(v) for v in got] == [as_bits(PowerSeries(c).evaluate(z)) for c in rows]
+
+
+def test_stacked_evaluator_rejects_non_finite_points():
+    m = HarmonicMapSpec(a=[0.1], b=[0.2, 0.05], truncation_order=2)
+    for z in (complex("nan"), complex("inf"), np.array([0.1, complex(0.2, np.inf)])):
+        with pytest.raises(ValueError, match="non-finite"):
+            part_values(m, z)
+        with pytest.raises(ValueError, match="non-finite"):
+            horner([m.h_coefficients(), m.b], z)
+
+
+def test_grid_axes_are_shared_and_read_only():
+    radii, angles = grid_axes(GridSpec(n_radii=7, n_angles=24))
+    again = grid_axes(GridSpec(n_radii=7, n_angles=24))
+    assert again[0] is radii and again[1] is angles
+    for arr in (radii, angles):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        with pytest.raises(ValueError):
+            arr *= 2
+    assert radii[0] == GridSpec().r_min and angles[6] == 1j
