@@ -111,15 +111,15 @@ class WeightTable:
 def weight_table(p: SpiralParams, n_max: int) -> WeightTable:
     """Compute the weight table by direct complex modulus arithmetic.
 
-    The weights are memoised per angle and n_max: a report asks for the same
-    table up to four times."""
+    The weights of the last angle and n_max are kept: a report asks for the
+    same table up to four times."""
     if n_max < 1:
         raise ValueError("weight table needs n_max >= 1")
     a, b = _weights(p.lam, n_max)
     return WeightTable(A=a, B=b, lam=p.lam)
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=1)
 def _weights(lam: float, n_max: int) -> tuple[np.ndarray, float]:
     # lam = -0.0 may share the entry of 0.0: the weights are the same.
     e = np.exp(-1j * lam)

@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, PowerSeries, horner
+from .series import DEFAULT_ORDER, PowerSeries, derivative_coefficients, horner
 
 #: Tolerance used when validating the sign-restricted coefficient shape.
 SIGN_SHAPE_TOL = 1e-12
@@ -214,12 +214,12 @@ class GridSpec:
             raise ValueError("margin_eps must be finite and nonnegative")
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=1)
 def grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The grid's radii and unit angle points; a grid point is their product.
 
-    Memoised per (frozen) grid, so equal grids share the two arrays, which
-    are read-only."""
+    The last grid's axes are kept, so repeated scans of one (frozen) grid
+    share the two arrays, which are read-only."""
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
     if grid.n_angles % 4 == 0:  # the axis points exactly, as the FFT has them
@@ -301,8 +301,7 @@ def part_values(m: HarmonicMapSpec, z):
         out = [f(m, zarr) for f in (h_values, g_values, dh_values, dg_values)]
     else:
         h, g = m.h_coefficients(), m.g_coefficients()
-        n = np.arange(1, h.size)  # as PowerSeries.differentiate has it
-        out = horner([h, g, h[1:] * n, g[1:] * n], zarr)
+        out = horner([h, g, derivative_coefficients(h), derivative_coefficients(g)], zarr)
     return tuple(complex(v[0]) for v in out) if scalar else tuple(out)
 
 

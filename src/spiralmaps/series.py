@@ -144,8 +144,7 @@ class PowerSeries:
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series: empty derivative")
-        k = np.arange(1, self.order + 1)
-        return PowerSeries(self._c[1:] * k)
+        return PowerSeries(derivative_coefficients(self._c))
 
     def evaluate(self, z):
         """Horner evaluation of the truncated polynomial (:func:`horner` of
@@ -174,6 +173,11 @@ class PowerSeries:
     def times_z(self) -> "PowerSeries":
         """Prepend a zero constant term; order increases by one."""
         return PowerSeries(np.concatenate([np.zeros(1, dtype=np.complex128), self._c]))
+
+
+def derivative_coefficients(c: np.ndarray) -> np.ndarray:
+    """The termwise derivative's coefficients k c_k, k = 1 .. len(c) - 1."""
+    return c[1:] * np.arange(1, c.size)
 
 
 def horner(rows, z) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Harmonic map evaluation, the D operator, Jacobian, and grid scans."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,3 +312,14 @@ def test_grid_axes_are_shared_and_read_only():
         with pytest.raises(ValueError):
             arr *= 2
     assert radii[0] == GridSpec().r_min and angles[6] == 1j
+
+
+def test_grid_axes_keep_only_the_last_grid():
+    # One grid's axes are kept: a sweep over grid sizes holds no earlier axes.
+    first = grid_axes(GridSpec(n_radii=5, n_angles=16))
+    refs = [weakref.ref(arr) for arr in first]
+    grid_axes(GridSpec(n_radii=6, n_angles=16))
+    assert grid_axes.cache_info().currsize == 1
+    del first
+    gc.collect()
+    assert all(ref() is None for ref in refs)
