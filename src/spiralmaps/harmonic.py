@@ -615,14 +615,14 @@ class GridField:
 
     The walk (:func:`walk_rings`) first evaluates the rings holding each
     quantity's lowest :func:`ring_bounds` bound, ties included: every ring
-    of a closed form, which has no bounds (all -inf), and of an affine map,
-    h = z and g = b_1 z, whose quotient bound is the same on every ring, so
-    it is given none either and does not pay for them.  It evaluates another
-    ring only when one of its bounds does not clear that quantity's running
-    minimum; a NaN minimum is cleared by none, and the quotient's bound stops
-    counting once pointwise is None.  A skipped ring holds no minimum, tie or
-    NaN of any quantity, so the four results, their witnesses and the None
-    rule are those of evaluating every ring, bit for bit."""
+    of a closed form, which has no bounds (all -inf), and of an affine map
+    (h = z, g = b_1 z; every order-1 map), whose quotient bound is the same
+    on every ring.  It evaluates another ring only when one of its bounds
+    does not clear that quantity's running minimum; a NaN minimum is cleared
+    by none, and the quotient's bound stops counting once pointwise is None.
+    A skipped ring holds no minimum, tie or NaN of any quantity, so the four
+    results, their witnesses and the None rule are those of evaluating every
+    ring, bit for bit."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
         self.grid = grid
@@ -635,13 +635,13 @@ class GridField:
         self._rings = 0
         radii, angles = grid_axes(grid)
         series = m.closed_form is None
-        if series and (m.a.any() or m.b[1:].any()):
+        if series:
             h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
             np.abs(m.a, out=h[0, 1:])
             bounds = ring_bounds(h, radii, phase, np.abs(m.b)[None])[:, 0]
-        else:  # none for a closed form; for h = z, g = b_1 z the same on every ring
-            bounds = np.full((4, radii.size), -np.inf)
-        rows, step = (field_rows(m), _block_rings(grid)) if series else (None, _block_rings(grid, 2))
+            rows, step = field_rows(m), _block_rings(grid)
+        else:
+            bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
         # One workspace: a series' spectra, which become its fields, then the
         # four values per point, then the points.
         size = step * angles.size

@@ -383,16 +383,9 @@ def test_dense_scans_evaluate_few_rings():
             assert GridField(c, GridSpec(), p.phase).rings_evaluated == GridSpec().n_radii, name
 
 
-def test_affine_maps_skip_the_ring_bounds(monkeypatch):
+def test_affine_maps_evaluate_every_ring():
     # h = z, g = b_1 z: the quotient bound is the same on every ring, so every
-    # ring is a seed and GridField gives the map no bounds at all.
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return ring_bounds(*args, **kwargs)
-
-    monkeypatch.setattr(harmonic, "ring_bounds", counted)
+    # ring is a seed, whatever the truncation order.
     grid = GridSpec(n_radii=9, n_angles=24)
     for order in (1, 2, 64):
         for b1 in (0.0, 0.3 - 0.4j, 1.0, 1.5j):
@@ -405,9 +398,6 @@ def test_affine_maps_skip_the_ring_bounds(monkeypatch):
                 for name, scan in want.items():
                     assert repr(getattr(got, name)) == repr(scan), (order, b1, lam, name)
                 assert got.rings_evaluated == grid.n_radii
-    assert calls == []
-    GridField(HarmonicMapSpec(a=[], b=[0.1, 0.01], truncation_order=2), grid)
-    assert calls == [(1, 2)]
 
 
 def exact_ring_powers(r, width):
