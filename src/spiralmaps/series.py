@@ -389,7 +389,6 @@ def log_derivative_ratio(s: PowerSeries) -> PowerSeries:
         )
     if s.order < 1 or abs(c[1]) <= NORMALIZATION_TOL:
         raise NormalizationError("log-derivative ratio needs a simple root at 0")
-    k = np.arange(1, s.order + 1)
-    num = PowerSeries(c[1:] * k)  # (z s')/z
+    num = PowerSeries(derivative_coefficients(c))  # (z s')/z
     den = PowerSeries(c[1:])      # s/z
     return divide(num, den)
