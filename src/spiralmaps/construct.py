@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import (
+    BLOCK_POINTS,
     ClosedForm,
     GridSpec,
     HarmonicMapSpec,
@@ -31,6 +32,7 @@ from .harmonic import (
     ring_bounds,
     ring_values,
     signed_shape,
+    workspace,
 )
 from .criteria import (
     EpsilonScanResult,
@@ -323,10 +325,12 @@ def _orientation_probe(g: PowerSeries) -> None:
     # coefficients do not decay.  Coarse 8x32 scan capped at r = 0.7, where
     # a 64-term truncation with polynomially growing coefficients is still
     # converged; only the sign matters.  One FFT per ring gives g and z g' on
-    # the grid's points, radius-major, axis points exact.
+    # the grid's points, radius-major, axis points exact.  The radii are those
+    # of grid_axes, computed here so that its one-entry memo keeps the grid of
+    # the scans.
     grid = GridSpec(n_radii=8, n_angles=32, r_max=0.7)
     c = g.coeffs
-    radii, _ = grid_axes(grid)
+    radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     gv, zdg = ring_values(np.stack([c, np.arange(c.size) * c]), radii, grid.n_angles)
     good = np.abs(gv) > 1e-12
     margins = np.real(zdg[good] / gv[good])
@@ -348,22 +352,24 @@ def transform_identity_defect(
     """Consistency defect of the power transform on a grid.
 
     Builds h from g (or reuses it when the last transform built was that of
-    the same g and exponent), forms both logarithmic-derivative ratios as series,
-    and returns max |Re(e^{-i s lam} z h'/h) - cos(lam) Re(z g'/g)| over
-    the grid (s = orientation).  The identity is exact for the transform,
-    so the defect measures only the numerical consistency of the series
-    exp/log/division stack.
+    the same g and exponent), forms both logarithmic-derivative ratios as
+    series, and returns max |Re(e^{-i s lam} z h'/h) - cos(lam) Re(z g'/g)|
+    over the grid (s = orientation).  The identity is exact for the
+    transform, so the defect measures only the numerical consistency of the
+    series exp/log/division stack.  As cos(lam) is real, the difference is
+    Re of the one series e^{-i s lam} z h'/h - cos(lam) z g'/g, which is
+    evaluated ring block by ring block in a pooled workspace.
     """
     h = spirallike_power_transform(g, p, orientation=orientation, probe=False)
-    rows = np.stack([log_derivative_ratio(h).coeffs, log_derivative_ratio(g).coeffs])
     rot = np.exp(-1j * orientation * p.lam)
+    row = rot * log_derivative_ratio(h).coeffs - math.cos(p.lam) * log_derivative_ratio(g).coeffs
     radii, _ = grid_axes(grid)
     defect, step = 0.0, _block_rings(grid)
-    for s in range(0, radii.size, step):
-        qh, qg = ring_values(rows, radii[s : s + step], grid.n_angles)
-        lhs = np.real(rot * qh)
-        rhs = math.cos(p.lam) * np.real(qg)
-        defect = np.maximum(defect, np.max(np.abs(lhs - rhs)))
+    with workspace(step * grid.n_angles) as work:
+        for s in range(0, radii.size, step):
+            r = radii[s : s + step]
+            q = ring_values(row[None], r, grid.n_angles, out=work[: r.size * grid.n_angles]).real
+            defect = np.maximum(defect, np.abs(q, out=q).max())
     return float(defect)
 
 
@@ -413,8 +419,9 @@ def transform_family_check(
         rows[:, 0, 1:] = pow_rows(s[:formed] * (1.0 / w0[:formed, None]), mu)
         rows[:, 1] = rows[:, 0] * (rot * np.arange(n + 1))
 
-        def values(k, r):
-            out = ring_values(rows[k].reshape(-1, n + 1), r, grid.n_angles)
+        def values(k, r):  # k: consecutive members
+            m = rows[k[0] : k[-1] + 1].reshape(-1, n + 1)
+            out = ring_values(m, r, grid.n_angles, out=work[: m.shape[0] * r.size * grid.n_angles])
             out = out.reshape(k.size, 2, -1)
             return out[:, 0], out[:, 1]
 
@@ -422,7 +429,10 @@ def transform_family_check(
             p = np.abs(rows[k, 0, 1:])  # |p_j|, F_eps = z P
             return ring_bounds(p, r, rot, size=p, count=2)
 
-        result = family_scan(values, bounds, grid, eps[:formed], "F_eps")
+        # One pooled workspace for the members of every call: family_scan
+        # asks for at most BLOCK_POINTS values at a time, or one ring.
+        with workspace(2 * max(BLOCK_POINTS, grid.n_angles)) as work:
+            result = family_scan(values, bounds, grid, eps[:formed], "F_eps")
     if formed < n_eps:
         raise ConstraintError(
             f"H + eps G degenerates at eps = {complex(eps[formed])}: "

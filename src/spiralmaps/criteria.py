@@ -41,6 +41,7 @@ from .harmonic import (
     ring_minima,
     ring_values,
     walk_rings,
+    workspace,
 )
 
 #: Uniform pass margin for the strict inequalities in coefficient tests.
@@ -322,16 +323,23 @@ def unimodular_samples(n_eps: int) -> np.ndarray:
         raise ValueError("need at least one unimodular sample")
     if n_eps > MAX_EPS_SAMPLES:
         raise ValueError(f"at most {MAX_EPS_SAMPLES} unimodular samples, got {n_eps}")
-    return np.array([complex(np.exp(2j * np.pi * k / n_eps)) for k in range(n_eps)])
+    # The angles as Python's complex arithmetic gives 2j * pi * k / n_eps: one
+    # rounding of 2 pi k, then one of the division (numpy's complex division
+    # multiplies by 1/n_eps, which rounds differently unless n_eps is a power
+    # of 2).  So eps is the exp of each scalar 2j * pi * k / n_eps, bit for bit.
+    z = np.zeros(n_eps, dtype=np.complex128)
+    z.imag = np.arange(n_eps) * (2 * np.pi) / n_eps
+    return np.exp(z)
 
 
 def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> EpsilonScanResult:
     """Minimum of Re(num/den) over the unimodular samples ``eps`` and the grid.
 
     ``values(which, r)`` returns the values (den, num) of the members
-    ``which`` (indices into ``eps``) on the rings of radii ``r``, each of
-    shape (members, rings * n_angles), radius-major, which the scan may
-    overwrite.  ``bounds(which, r)`` returns lower bounds on |den| and on
+    ``which`` (consecutive ascending indices into ``eps``) on the rings of
+    radii ``r``, each of shape (members, rings * n_angles), radius-major,
+    which the scan may overwrite and which need last only until the next
+    call.  ``bounds(which, r)`` returns lower bounds on |den| and on
     Re(num/den) over each ring, each of shape (members, rings), less a
     rounding allowance: at most every computed value, -inf (or NaN) for none.
 
@@ -346,7 +354,8 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     there with that member's least |den| and its point.  The outcome is read
     from these records in an order the walk does not affect, so it is that
     of the full sampled scan bit for bit, in memory of about
-    ``BLOCK_POINTS`` values plus per-ring arrays: :class:`NearZeroError`
+    ``BLOCK_POINTS`` values plus per-ring arrays; the |den| of a call go to
+    a pooled :func:`~spiralmaps.harmonic.workspace`: :class:`NearZeroError`
     (``what`` naming the denominator) for the smallest near-zero eps, at its
     least |den| (NaN first) on the first ring; else the least value (NaN
     first) for its smallest eps, on the first ring.  The quotient is formed
@@ -380,7 +389,7 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
         # chunk's values outlive it.  Chunks come in eps order.
         den, num = values(which, radii[i])
         z, rings = (radii[i, None] * angles).ravel(), np.arange(i.size)
-        v, k = ring_minima(np.abs(den), n_angles)
+        v, k = ring_minima(np.abs(den, out=mags[: den.size].reshape(den.shape)), n_angles)
         near = ~(v > margin)
         if near.any():
             j = near.argmax(axis=0)  # the first near-zero member on each ring
@@ -401,7 +410,11 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
         return (ring_bound[i] > np.fmin.reduce(low[1])) & (ring_low[i] > margin)
 
     seed = np.flatnonzero(ring_bound == ring_bound.min())
-    walk_rings(seed, radii.size, _block_rings(grid, max(chunk, 2)), scan, skip)
+    # A call holds at most chunk members on a block of rings of about
+    # BLOCK_POINTS // chunk values: BLOCK_POINTS values, or one ring.
+    with workspace(-(-max(BLOCK_POINTS, n_angles) // 2)) as spare:
+        mags = spare.view(np.float64)
+        walk_rings(seed, radii.size, _block_rings(grid, max(chunk, 2)), scan, skip)
     e = first[0].min()
     if e < n:
         i = np.flatnonzero(first[0] == e)
@@ -446,16 +459,12 @@ def epsilon_starlike_check(
     size = ((1 + n) * (np.abs(h) + np.abs(g)))[None, 1:]  # over P = (h + eps g) / z
 
     def fields(r):
-        # A closed form on at most BLOCK_POINTS // 2 points (or one ring),
-        # where it gives the bits it gives on one ring (see _block_rings).
+        # On at most BLOCK_POINTS // 2 points (or one ring): a closed form
+        # gives there the bits it gives on one ring (see _block_rings).
         if m.closed_form is None:
-            return ring_values(rows, r, grid.n_angles)
+            return ring_values(rows, r, grid.n_angles, out=spectra[: 4 * r.size * grid.n_angles])
         z = (r[:, None] * angles).ravel()
         return h_values(m, z), g_values(m, z), z * dh_values(m, z), z * dg_values(m, z)
-
-    # One workspace for the members of every call: family_scan asks for at
-    # most BLOCK_POINTS values at a time, or one ring.
-    work = np.empty((2, max(BLOCK_POINTS, grid.n_angles)), dtype=np.complex128)
 
     last = [None, None]  # the rings of the last call and their fields
 
@@ -463,10 +472,10 @@ def epsilon_starlike_check(
         if not np.array_equal(r, last[0]):  # the walk asks every chunk in turn
             last[:] = r, fields(r)
         hv, gv, zdh, zdg = last[1]
-        den, num = work[:, : which.size * hv.size].reshape(2, which.size, hv.size)
+        den, num = work[: 2 * which.size * hv.size].reshape(2, which.size, hv.size)
         # eps written out in full: numpy multiplies by a broadcast eps several
         # times slower, to the same bits.
-        num[...] = eps[which, None]
+        num[...] = eps[which[0] : which[-1] + 1, None]
         np.add(hv, np.multiply(num, gv, out=den), out=den)
         np.add(zdh, np.multiply(num, zdg, out=num), out=num)
         return den, num
@@ -494,10 +503,17 @@ def epsilon_starlike_check(
                 floors[0, j] = (np.abs(ah - ag) - BOUND_ROUNDING * (ah + ag)).min(axis=1)
                 floors[1, j] = _quotient_bound(zdh, zdg, hv, gv, ah, ag).min(axis=1)
         done[new] = True
+        last[0] = None  # the fields' workspace now holds these rings
         out[:, :, i] = np.where(none[:, :, i], floors[:, None, at], out[:, :, i])
         return out
 
-    return family_scan(values, bounds, grid, eps, "h + eps g")
+    # One pooled workspace: the members of every call (family_scan asks for
+    # at most BLOCK_POINTS values at a time, or one ring), then the four
+    # fields of at most BLOCK_POINTS // 2 points, or one ring.
+    members, points = 2 * max(BLOCK_POINTS, grid.n_angles), max(BLOCK_POINTS // 2, grid.n_angles)
+    with workspace(members + 4 * points) as buf:
+        work, spectra = buf[:members], buf[members:]
+        return family_scan(values, bounds, grid, eps, "h + eps g")
 
 
 def _quotient_bound(A, B, C, D, aC, aD) -> np.ndarray:

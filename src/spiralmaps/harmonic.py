@@ -24,7 +24,10 @@ as for a closed form), then the other rings radius-major in blocks, skipping
 a ring only where its bounds clear the minima found so far.  Each scan keeps
 per-ring minima with their first minimisers (:func:`ring_minima`) and
 reduces them by value, then by order, so its results are those of
-evaluating every ring, bit for bit, whatever order the walk took.
+evaluating every ring, bit for bit, whatever order the walk took.  The
+family and transform scans take their workspaces from :func:`workspace`,
+one small pool per thread, so a scan run again reuses memory it has written
+before.
 Points off the grid go through Horner (:func:`~spiralmaps.series.horner`):
 :func:`part_values` gives h, g, h' and g' of a series at the witness from one
 loop over their four stacked rows, bit for bit as four separate
@@ -37,8 +40,10 @@ at most ``MAX_GRID_POINTS`` points and ``MAX_ANGLES`` angles.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -384,32 +389,109 @@ def ring_minima(values, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     return values[np.arange(k.shape[0])[:, None], k], k
 
 
+#: Most values a level of the workspace pool keeps between uses: eight
+#: blocks (2 MiB), two rings at ``MAX_ANGLES``.
+_POOL_POINTS = 8 * BLOCK_POINTS
+
+#: Nesting levels of the workspace pool that keep their buffers.
+_POOL_LEVELS = 4
+
+
+class _Pool(threading.local):
+    """One thread's workspaces, one per nesting level of :func:`workspace`."""
+
+    def __init__(self):
+        self.buffers = [None] * _POOL_LEVELS
+        self.depth = 0
+
+
+_pool = _Pool()
+
+
+@contextlib.contextmanager
+def workspace(size: int):
+    """A complex array of ``size`` values, not initialised, for the body of a
+    ``with``.
+
+    The family and transform scans and the large fold temporaries take their
+    workspaces from here, so that a scan run again writes over memory it has
+    written before in place of asking the C library for new pages.  Each
+    thread has its own pool, and each nesting level of ``with
+    workspace(...)`` within a thread its own buffer, so a nested workspace
+    never overlaps an enclosing one.  A level keeps its buffer, grown to its
+    largest request, when that holds at most ``_POOL_POINTS`` values and the
+    level is one of the first ``_POOL_LEVELS``: a thread keeps at most 32
+    blocks (8 MiB), and the family checks, nesting three levels deep, keep
+    about 1.1 MiB.  Any other request gets an array of its own, dropped after
+    use.  Nothing read from a workspace may outlive its ``with``: results are
+    copied out."""
+    pool, level = _pool, _pool.depth
+    buf = pool.buffers[level] if level < _POOL_LEVELS else None
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.complex128)
+        if level < _POOL_LEVELS and size <= _POOL_POINTS:
+            pool.buffers[level] = buf
+    pool.depth = level + 1
+    try:
+        yield buf[:size]
+    finally:
+        pool.depth = level
+
+
 def _fold(spectrum, rows, powers) -> None:
     """Add rows[s, j] * powers[i, j] to spectrum[s, i, j mod n_angles].
 
     The product temporary holds S * R * min(L, n_angles) values for rows of
     shape (S, L) and R rings, a fraction L / n_angles of the spectrum when
-    L < n_angles."""
+    L < n_angles; above one block it is a pooled :func:`workspace`."""
     n_angles = spectrum.shape[-1]
     for k in range(0, rows.shape[1], n_angles):
         c = rows[:, None, k : k + n_angles]
-        spectrum[..., : c.shape[2]] += c * powers[:, k : k + c.shape[2]]
+        p = powers[:, k : k + c.shape[2]]
+        head = spectrum[..., : c.shape[2]]
+        if head.size <= BLOCK_POINTS:
+            head += c * p
+        else:
+            with workspace(head.size) as t:
+                head += np.multiply(c, p, out=t.reshape(head.shape))
 
 
-def ring_values(rows, radii, n_angles: int) -> np.ndarray:
+def _inverse_fft(spectrum) -> None:
+    """Overwrite each row of ``spectrum`` (shape (K, n_angles)) with its
+    inverse DFT, normalised forward, in runs of rows of at most a block (at
+    least one row), so that the FFT's own output is at most one block.  Each
+    row's transform is computed on its own, so the runs do not change its
+    bits."""
+    step = max(1, BLOCK_POINTS // spectrum.shape[1])
+    for s in range(0, spectrum.shape[0], step):
+        spectrum[s : s + step] = np.fft.ifft(spectrum[s : s + step], axis=1, norm="forward")
+
+
+def ring_values(rows, radii, n_angles: int, out=None) -> np.ndarray:
     """Values of the series with coefficient rows ``rows`` (shape (S, L)) at
     r e^{2 pi i j / n_angles} for r in ``radii``: shape (S, R * n_angles),
     radius-major like :func:`grid_points`.
 
     On the ring |z| = r a series is the inverse DFT of c_n r^n with n folded
-    mod n_angles, so one batched FFT evaluates every row on every ring.
+    mod n_angles, so one batched FFT evaluates every row on every ring.  The
+    powers r^n come from :func:`_ring_powers`.  The spectrum is written into
+    ``out``, a contiguous complex array of S R n_angles values whose contents
+    are never read (a fresh array by default), and the inverse FFTs are
+    copied back over it: the result is a view of ``out``, the same bytes
+    whatever ``out`` held.  The family scans pass a pooled
+    :func:`workspace`.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     radii = np.asarray(radii, dtype=np.float64)
-    spectrum = np.zeros((rows.shape[0], radii.size, n_angles), dtype=np.complex128)
-    _fold(spectrum, rows, radii[:, None] ** np.arange(rows.shape[1]))
-    out = np.fft.ifft(spectrum.reshape(-1, n_angles), axis=1, norm="forward")
-    return out.reshape(rows.shape[0], -1)
+    shape = (rows.shape[0], radii.size, n_angles)
+    if out is None:
+        spectrum = np.zeros(shape, dtype=np.complex128)
+    else:
+        spectrum = out.reshape(shape)
+        spectrum.fill(0)
+    _fold(spectrum, rows, _ring_powers(radii, rows.shape[1]).T)
+    _inverse_fft(spectrum.reshape(-1, n_angles))
+    return spectrum.reshape(rows.shape[0], -1)
 
 
 def field_rows(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,8 +520,8 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     :func:`field_rows` ``rows``: shape (3, R * n_angles), radius-major like
     :func:`grid_points`, written over ``spectrum``, a contiguous complex
     (3, R, n_angles) array.  The inverse FFTs are copied back over the
-    spectrum, one field at a time when it holds more than ``BLOCK_POINTS``
-    values, so the FFT's output is at most one block.
+    spectrum in runs of at most ``BLOCK_POINTS`` values (:func:`_inverse_fft`),
+    so the FFT's output is at most one block.
 
     Index j of the reversed spectrum is -(j + 1) mod n_angles, so the terms
     at negative indices fold there as the +n terms fold into the spectrum
@@ -456,11 +538,7 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     _fold(spectrum, plus, powers[:, 1:])
     _fold(back[:1], minus_f, powers[:, 2:])
     _fold(back[1:], minus_d, powers)
-    if spectrum.size <= BLOCK_POINTS:
-        spectrum[...] = np.fft.ifft(spectrum, axis=2, norm="forward")
-    else:
-        for field in spectrum:
-            field[...] = np.fft.ifft(field, axis=1, norm="forward")
+    _inverse_fft(spectrum.reshape(-1, spectrum.shape[-1]))
     return spectrum.reshape(3, -1)
 
 
@@ -610,8 +688,9 @@ class GridField:
     point and the points; per block only the FFT's output (at most
     ``BLOCK_POINTS`` values), the power table and the fold temporaries are
     new, the last up to 3 R min(N + 1, n_angles) values for R rings and
-    order N.  A closed form is evaluated from h, g, h', g'; its products run
-    in place in the operand order of the plain expressions.
+    order N, and above one block a pooled :func:`workspace`.  A closed form
+    is evaluated from h, g, h', g'; its products run in place in the operand
+    order of the plain expressions.
 
     The walk (:func:`walk_rings`) first evaluates the rings holding each
     quantity's lowest :func:`ring_bounds` bound, ties included: every ring
@@ -643,7 +722,10 @@ class GridField:
         else:
             bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
         # One workspace: a series' spectra, which become its fields, then the
-        # four values per point, then the points.
+        # four values per point, then the points.  It is freed after the scan,
+        # not pooled: held between scans, it left the C library's allocation
+        # thresholds low, and verifies of closed forms and plots between scans
+        # then took fresh pages for their temporaries on every call.
         size = step * angles.size
         work = np.empty((6 if series else 3) * size, dtype=np.complex128)
         vals = work[-3 * size : -size].view(np.float64).reshape(4, size)

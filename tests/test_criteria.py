@@ -351,6 +351,17 @@ class TestEpsilonFamily:
         with pytest.raises(ValueError):
             epsilon_starlike_check(identity_map(2), GridSpec(), n_eps=2_000_000_000)
 
+    @pytest.mark.parametrize(
+        "sizes", [range(1, 301), [997, 1000, 4095, 4096, 10007, 50000, 65535, MAX_EPS_SAMPLES]]
+    )
+    def test_samples_are_those_of_scalar_exp(self, sizes):
+        # The vectorised samples keep the bits of the per-sample scalar form,
+        # also where n_eps is no power of 2 and numpy's complex division by
+        # n_eps would round differently.
+        for n in sizes:
+            want = np.array([complex(np.exp(2j * np.pi * k / n)) for k in range(n)])
+            assert unimodular_samples(n).tobytes() == want.tobytes(), n
+
     def test_identity(self):
         res = epsilon_starlike_check(identity_map(2), GridSpec(n_radii=4, n_angles=16), n_eps=8)
         assert abs(res.min_value - 1.0) < 1e-12 and res.passed
