@@ -53,7 +53,7 @@ from .mapfile import (
     load_map_file,
     parse_map_document,
 )
-from .render import DEFAULT_RADII, PlotSpec, render_csv, render_svg
+from .render import DEFAULT_RADII, PlotSpec, plot_blocks
 from .series import MAX_ORDER
 
 _USAGE_EXIT = 2
@@ -166,12 +166,13 @@ def _parse_indexed(values, what: str, complex_ok: bool = True) -> dict[int, comp
     return out
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(blocks, path: str | None) -> None:
+    """Write each text block of ``blocks`` as it comes, to ``path`` or stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 # ----------------------------------------------------------------- commands
@@ -297,7 +298,7 @@ def _cmd_construct(args) -> int:
         raise MapFileError(f"unknown builder {args.builder!r}")
 
     doc = document_from_map(m, p)
-    _write_output(emit_map_document(doc), args.out)
+    _write_output([emit_map_document(doc)], args.out)
     return 0
 
 
@@ -316,8 +317,9 @@ def _cmd_plot(args) -> int:
         )
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    text = render_csv(m, spec) if args.csv else render_svg(m, spec)
-    _write_output(text, args.out)
+    # Every curve is evaluated and checked before the output is opened, so a
+    # curve that overflows writes no file.
+    _write_output(plot_blocks(m, spec), args.out)
     return 0
 
 
@@ -352,7 +354,7 @@ def _cmd_catalog(args) -> int:
         catalog_name=name,
         catalog_params={k: v for k, v in params.items() if v is not None},
     )
-    _write_output(emit_map_document(doc), args.out)
+    _write_output([emit_map_document(doc)], args.out)
     return 0
 
 

@@ -5,21 +5,29 @@ at equally spaced angles and closed by repeating the first point.  Output
 is deterministic byte for byte: fixed palette, fixed key order, every
 number at 9 significant digits, no timestamps.
 
+A render first evaluates every circle into one (radii, samples) image
+array, whole circles per ``eval_f`` call (the default 7 x 720 plot is one
+call), and rejects a curve that overflowed to NaN or inf with
+``ValueError("non-finite number in output")``, without numpy warnings.
+Then :func:`plot_blocks` formats it a block at a time, which the CLI writes
+as it goes; :func:`render_csv` and :func:`render_svg` join the same blocks.
 Numbers are formatted one array at a time by ``mapfile.format_array``: one
-call per SVG polyline, one per block of ``CSV_BLOCK_ROWS`` CSV rows of a
-curve, and one for the CSV angle column, which every radius shares.  Only
-the handful of SVG header numbers go through ``mapfile.format_number``.  A
-curve that overflows to NaN or inf raises ``ValueError("non-finite number
-in output")`` from the formatter, without numpy warnings.
+call per block of at most ``FORMAT_BLOCK_ROWS`` SVG points or CSV rows of a
+curve, and one per block of the CSV angle column, which every radius of a
+one-block circle shares.  Only the handful of SVG header numbers go through
+``mapfile.format_number``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .harmonic import HarmonicMapSpec, eval_f
+from .harmonic import BLOCK_POINTS, HarmonicMapSpec, eval_f
 from .mapfile import format_array, format_number
 
 #: Default radii resolve the boundary shear of strongly spiralled images.
@@ -29,10 +37,10 @@ DEFAULT_RADII = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)
 #: points, or about 40 MB of CSV text.
 MAX_PLOT_POINTS = 1_000_000
 
-#: CSV rows formatted per ``format_array`` call, so that the template and
-#: the numbers held at once do not grow with the samples per circle; a
-#: default 720-sample curve is one block.
-CSV_BLOCK_ROWS = 4096
+#: CSV rows or SVG points formatted per ``format_array`` call, so that the
+#: template and the numbers held at once do not grow with the samples per
+#: circle; a default 720-sample curve is one block.
+FORMAT_BLOCK_ROWS = 4096
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -76,30 +84,105 @@ def _angles(samples: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(samples) / samples
 
 
-def circle_image(m: HarmonicMapSpec, r: float, samples: int) -> np.ndarray:
-    """Image points f(r e^{i theta}) at ``samples`` equally spaced angles.
+def circle_image(m: HarmonicMapSpec, r, samples: int) -> np.ndarray:
+    """Image points f(r e^{i theta}) at ``samples`` equally spaced angles, in
+    one ``eval_f`` call: shape ``(samples,)`` for one radius ``r``, and
+    ``(len(r), samples)`` for a sequence of radii.
 
-    Overflow gives NaN or inf points silently; the formatter rejects them.
+    Overflow gives NaN or inf points silently; the renderers reject them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return eval_f(m, r * np.exp(1j * _angles(samples)))
+        return eval_f(m, np.multiply.outer(r, np.exp(1j * _angles(samples))))
+
+
+def _images(m: HarmonicMapSpec, spec: PlotSpec) -> np.ndarray:
+    """The circle images of ``spec``, shape (radii, samples), all finite.
+
+    Whole circles are evaluated together in blocks of fewer than
+    ``BLOCK_POINTS`` points, and a larger circle alone: below that size a
+    closed form gives each point the bits a one-circle call gives it (see
+    ``harmonic._block_rings``).  Raises ``ValueError("non-finite number in
+    output")`` if any point overflowed.
+    """
+    samples = spec.samples_per_circle
+    step = max(1, (BLOCK_POINTS - 1) // samples)  # circles per eval_f call
+    radii = np.array(spec.radii)
+    w = np.empty((radii.size, samples), dtype=np.complex128)
+    for i in range(0, radii.size, step):
+        w[i : i + step] = circle_image(m, radii[i : i + step], samples)
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite number in output")
+    return w
+
+
+def _csv_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
+    samples = spec.samples_per_circle
+    angles = _angles(samples)
+
+    # The angle column of a row block; kept while a circle is one block, so
+    # that every radius of a small plot shares it.
+    @functools.lru_cache(maxsize=1)
+    def thetas(i: int) -> list:
+        column = angles[i : i + FORMAT_BLOCK_ROWS]
+        return format_array("%.9g\n" * column.size, column).split()
+
+    yield "r,theta,re,im\n"
+    for r, curve in zip(spec.radii, w):
+        # Row j is "r,theta_j,re_j,im_j": r and theta_j are fixed text in the
+        # template, re_j and im_j its two %.9g slots.
+        head = format_number(r) + ","
+        for i in range(0, samples, FORMAT_BLOCK_ROWS):
+            rows = slice(i, i + FORMAT_BLOCK_ROWS)
+            template = head + f",%.9g,%.9g\n{head}".join(thetas(i)) + ",%.9g,%.9g\n"
+            yield format_array(template, curve.real[rows], curve.imag[rows])
+
+
+def _svg_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
+    """The SVG document of ``w``: its header is formatted now (a span that
+    overflows raises here), its polylines as the blocks are consumed."""
+    xmin, xmax = float(w.real.min()), float(w.real.max())
+    ymin, ymax = float(-w.imag.max()), float(-w.imag.min())
+    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    pad = 0.05 * span
+    view = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{spec.width}" height="{spec.height}" '
+        f'viewBox="{" ".join(format_number(v) for v in view)}">\n'
+    )
+    return itertools.chain((header,), _polylines(w, format_number(span / 400.0)))
+
+
+def _polylines(w: np.ndarray, stroke: str) -> Iterator[str]:
+    for k, curve in enumerate(w):
+        closed = np.append(curve, curve[0])
+        color = _PALETTE[k % len(_PALETTE)]
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="{stroke}" points="'
+        for i in range(0, closed.size, FORMAT_BLOCK_ROWS):
+            pts = closed[i : i + FORMAT_BLOCK_ROWS]
+            template = " ".join(["%.9g,%.9g"] * pts.size)
+            yield (" " if i else "") + format_array(template, pts.real, -pts.imag)
+        yield '"/>\n'
+    yield "</svg>\n"
+
+
+def plot_blocks(m: HarmonicMapSpec, spec: PlotSpec) -> Iterator[str]:
+    """The plot of ``spec.fmt`` as text blocks, whose concatenation is
+    :func:`render_csv` or :func:`render_svg`.
+
+    Every curve is evaluated and checked, and the SVG header formatted,
+    before this returns, so a curve that overflows raises ``ValueError``
+    before the first block; the rest is formatted a block at a time as it
+    is consumed.
+    """
+    w = _images(m, spec)
+    return _csv_blocks(w, spec) if spec.fmt == "csv" else _svg_blocks(w, spec)
 
 
 def render_csv(m: HarmonicMapSpec, spec: PlotSpec) -> str:
     """CSV document with columns r, theta, re, im."""
-    samples = spec.samples_per_circle
-    thetas = format_array("%.9g\n" * samples, _angles(samples)).split()
-    parts = ["r,theta,re,im\n"]
-    for r in spec.radii:
-        # Row j is "r,theta_j,re_j,im_j": r and theta_j are fixed text in the
-        # template, re_j and im_j its two %.9g slots.
-        head = format_number(r) + ","
-        w = circle_image(m, r, samples)
-        for i in range(0, samples, CSV_BLOCK_ROWS):
-            rows = slice(i, i + CSV_BLOCK_ROWS)
-            template = head + f",%.9g,%.9g\n{head}".join(thetas[rows]) + ",%.9g,%.9g\n"
-            parts.append(format_array(template, w.real[rows], w.imag[rows]))
-    return "".join(parts)
+    return "".join(_csv_blocks(_images(m, spec), spec))
 
 
 def render_svg(m: HarmonicMapSpec, spec: PlotSpec) -> str:
@@ -108,64 +191,4 @@ def render_svg(m: HarmonicMapSpec, spec: PlotSpec) -> str:
     The imaginary axis points up on screen (SVG y is flipped).  The viewBox
     is fitted to the data with 5% padding.
     """
-    curves = [circle_image(m, r, spec.samples_per_circle) for r in spec.radii]
-    allpts = np.concatenate(curves)
-    xmin, xmax = float(allpts.real.min()), float(allpts.real.max())
-    ymin, ymax = float(-allpts.imag.max()), float(-allpts.imag.min())
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
-    pad = 0.05 * span
-    view = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
-    stroke = span / 400.0
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="{format_number(view[0])} {format_number(view[1])} '
-        f'{format_number(view[2])} {format_number(view[3])}">',
-    ]
-    for k, curve in enumerate(curves):
-        closed = np.append(curve, curve[0])
-        template = " ".join(["%.9g,%.9g"] * closed.size)
-        pts = format_array(template, closed.real, -closed.imag)
-        color = _PALETTE[k % len(_PALETTE)]
-        lines.append(
-            f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{format_number(stroke)}" points="{pts}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def polyline_self_intersects(points: np.ndarray) -> bool:
-    """Segment-pair scan for proper self-intersection of a closed polyline.
-
-    ``points`` are the curve samples without the closing repeat; the
-    closing segment is implied.  Only transversal crossings count, and
-    segments sharing an endpoint (cyclically adjacent) are skipped.
-    """
-    pts = np.asarray(points, dtype=np.complex128)
-    n = pts.size
-    if n < 4:
-        return False
-    x1 = pts
-    x2 = np.roll(pts, -1)
-
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    a = x1[:, None]
-    b = x2[:, None]
-    c = x1[None, :]
-    d = x2[None, :]
-    d1 = cross(a, b, c)
-    d2 = cross(a, b, d)
-    d3 = cross(c, d, a)
-    d4 = cross(c, d, b)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-
-    i = np.arange(n)
-    adjacent = (np.abs(i[:, None] - i[None, :]) <= 1) | (
-        np.abs(i[:, None] - i[None, :]) == n - 1
-    )
-    return bool(np.any(proper & ~adjacent))
+    return "".join(_svg_blocks(_images(m, spec), spec))

@@ -38,7 +38,9 @@ from spiralmaps.harmonic import (
     grid_points,
     jacobian,
 )
-from spiralmaps.render import PlotSpec, circle_image, polyline_self_intersects
+from spiralmaps.render import PlotSpec, circle_image
+
+from conftest import polyline_self_intersects
 
 DEFAULT_GRID = GridSpec()  # 40 x 256, r in [1e-3, 0.99], margin 1e-9
 

@@ -364,6 +364,21 @@ class TestPlot:
         assert lines[0] == "r,theta,re,im"
         assert len(lines) == 65
 
+    @pytest.mark.parametrize("flags", [["--csv"], []])
+    def test_overflowing_plot_writes_no_file(self, tmp_path, capsys, flags):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"lambda": 0.3, "truncation": 4, "signed_form": false, '
+            '"a": [[1.5e308, 0], [1.5e308, 0], [1.5e308, 0]], "b": []}'
+        )
+        out_path = tmp_path / "p.out"
+        rc, out, err = run_cli(["plot", str(path), "--out", str(out_path)] + flags, capsys)
+        assert rc == 1
+        assert err == "error: non-finite number in output\n"
+        assert not out_path.exists()
+        rc, out, err = run_cli(["plot", str(path)] + flags, capsys)
+        assert (rc, out) == (1, "")
+
     def test_custom_radii(self, identity_file, tmp_path, capsys):
         out_path = tmp_path / "p.svg"
         rc, _, _ = run_cli(

@@ -94,16 +94,17 @@ def test_renderers_reject_non_finite_anywhere(n_radii, data, part, bad, renderer
     radii = (0.2, 0.5, 0.9)[:n_radii]
     which = data.draw(st.integers(0, n_radii - 1))
     pos = data.draw(st.integers(0, samples - 1))
-    calls = []
 
     def fake_eval_f(m, z):
+        # Called on one circle or on a block of them, one circle per row;
+        # the point at angle 0 of the circle of radius r is exactly r.
         w = np.asarray(z, dtype=np.complex128).copy()
-        if len(calls) == which:
-            if part == "real":
-                w[pos] = complex(bad, w[pos].imag)
-            else:
-                w[pos] = complex(w[pos].real, bad)
-        calls.append(z)
+        for row in w.reshape(-1, samples):
+            if row[0] == radii[which]:
+                if part == "real":
+                    row[pos] = complex(bad, row[pos].imag)
+                else:
+                    row[pos] = complex(row[pos].real, bad)
         return w
 
     spec = PlotSpec(radii=radii, samples_per_circle=samples)

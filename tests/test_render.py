@@ -1,23 +1,84 @@
 """SVG/CSV rendering and the curve self-intersection scan."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spiralmaps.construct import catalog
+from spiralmaps import harmonic, render
+from spiralmaps.construct import catalog, random_signed_map
 from spiralmaps.criteria import SpiralParams
 from spiralmaps.harmonic import identity_map
 from spiralmaps.mapfile import format_number
 from spiralmaps.render import (
-    CSV_BLOCK_ROWS,
+    FORMAT_BLOCK_ROWS,
     MAX_PLOT_POINTS,
     PlotSpec,
     circle_image,
-    polyline_self_intersects,
+    plot_blocks,
     render_csv,
     render_svg,
 )
+
+from conftest import polyline_self_intersects
+
+
+def per_radius_csv(m, spec):
+    """The CSV of ``spec`` from one ``circle_image`` call per radius, every
+    number formatted by ``format_number``."""
+    samples = spec.samples_per_circle
+    thetas = 2.0 * np.pi * np.arange(samples) / samples
+    want = ["r,theta,re,im\n"]
+    for r in spec.radii:
+        w = circle_image(m, r, samples)
+        want += [
+            f"{format_number(r)},{format_number(t)},{format_number(x)},{format_number(y)}\n"
+            for t, x, y in zip(thetas, w.real, w.imag)
+        ]
+    return "".join(want)
+
+
+def per_radius_svg(m, spec):
+    """The SVG of ``spec`` from one ``circle_image`` call per radius, every
+    number formatted by ``format_number``."""
+    curves = [circle_image(m, r, spec.samples_per_circle) for r in spec.radii]
+    pts = np.concatenate(curves)
+    xmin, xmax = float(pts.real.min()), float(pts.real.max())
+    ymin, ymax = float(-pts.imag.max()), float(-pts.imag.min())
+    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    pad = 0.05 * span
+    view = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.width}" '
+        f'height="{spec.height}" viewBox="{" ".join(map(format_number, view))}">',
+    ]
+    for k, curve in enumerate(curves):
+        points = " ".join(
+            f"{format_number(z.real)},{format_number(-z.imag)}" for z in np.append(curve, curve[0])
+        )
+        lines.append(
+            f'<polyline fill="none" stroke="{render._PALETTE[k % len(render._PALETTE)]}" '
+            f'stroke-width="{format_number(span / 400.0)}" points="{points}"/>'
+        )
+    return "\n".join(lines + ["</svg>\n"])
+
+
+def assert_per_radius_bits(m, spec):
+    """The images a render formats are bit for bit one ``circle_image`` call per radius."""
+    want = [circle_image(m, r, spec.samples_per_circle) for r in spec.radii]
+    assert np.array_equal(render._images(m, spec).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def plot_map(name):
+    if name == "random64":
+        return random_signed_map(np.random.default_rng(64), SpiralParams(0.7), order=64)
+    return catalog(name, p=SpiralParams(0.7))
+
+
+PLOT_MAPS = ["koebe", "f4", "harmonic_koebe", "half_plane", "random64"]
 
 
 class TestPlotSpec:
@@ -107,22 +168,79 @@ class TestCSV:
     def test_row_blocks_match_per_number_rows(self):
         # Two radii of two full row blocks and a partial one each.
         m = catalog("f5", p=SpiralParams(math.pi / 3), alpha=0.9)
-        samples = 2 * CSV_BLOCK_ROWS + 5
+        samples = 2 * FORMAT_BLOCK_ROWS + 5
         spec = PlotSpec(radii=(0.5, 0.9), samples_per_circle=samples, fmt="csv")
-        thetas = 2.0 * np.pi * np.arange(samples) / samples
-        want = ["r,theta,re,im\n"]
-        for r in spec.radii:
-            w = circle_image(m, r, samples)
-            want += [
-                f"{format_number(r)},{format_number(t)},{format_number(x)},{format_number(y)}\n"
-                for t, x, y in zip(thetas, w.real, w.imag)
-            ]
-        assert render_csv(m, spec) == "".join(want)
+        assert render_csv(m, spec) == per_radius_csv(m, spec)
 
     def test_deterministic(self):
         m = catalog("f5", p=SpiralParams(math.pi / 3), alpha=0.9)
         spec = PlotSpec(radii=(0.5, 0.9), samples_per_circle=64, fmt="csv")
         assert render_csv(m, spec) == render_csv(m, spec)
+
+
+class TestBlockedEvaluation:
+    """Every render evaluates whole circles in blocks, and gives the image
+    bits and the text of one evaluation per radius whatever the block size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(PLOT_MAPS),
+        st.one_of(st.sampled_from([64, 720, 2048, 4096, 16383, 16384, 40000]), st.integers(64, 40000)),
+        st.data(),
+    )
+    def test_renders_match_per_radius_references(self, name, samples, data):
+        # At most about 60,000 points, so that the per-number references stay
+        # quick; BLOCK_POINTS from one circle up.
+        n_radii = data.draw(st.integers(1, min(12, max(1, 60000 // samples))), label="radii")
+        top = harmonic.BLOCK_POINTS
+        block = data.draw(st.one_of(st.just(top), st.integers(min(samples, top), top)), label="block")
+        radii = tuple(np.linspace(0.1, 0.97, n_radii))
+        m = plot_map(name)
+        spec = PlotSpec(radii=radii, samples_per_circle=samples)
+        want_csv, want_svg = per_radius_csv(m, spec), per_radius_svg(m, spec)
+        with mock.patch.object(harmonic, "BLOCK_POINTS", block), \
+                mock.patch.object(render, "BLOCK_POINTS", block):
+            assert_per_radius_bits(m, spec)
+            assert render_csv(m, spec) == want_csv
+            assert render_svg(m, spec) == want_svg
+
+    @pytest.mark.parametrize("name", PLOT_MAPS)
+    @pytest.mark.parametrize("samples", [1024, 2048, 4096, 8192])
+    def test_blocks_below_block_points(self, name, samples):
+        # Here BLOCK_POINTS // samples circles are exactly BLOCK_POINTS
+        # points, where f4's closed form rounds differently.
+        m = plot_map(name)
+        n_radii = harmonic.BLOCK_POINTS // samples
+        spec = PlotSpec(radii=tuple(np.linspace(0.1, 0.97, n_radii)), samples_per_circle=samples)
+        assert_per_radius_bits(m, spec)
+        assert render_svg(m, spec) == per_radius_svg(m, spec)
+
+    @pytest.mark.parametrize("renderer", [render_csv, render_svg])
+    def test_default_plot_is_one_evaluation(self, renderer):
+        calls = []
+
+        def counted(m, z):
+            calls.append(np.shape(z))
+            return harmonic.eval_f(m, z)
+
+        with mock.patch.object(render, "eval_f", counted):
+            renderer(catalog("f2", p=SpiralParams(0.7), alpha=0.9), PlotSpec())
+        assert calls == [(7, 720)]
+
+    def test_plot_blocks_join_to_the_renders(self):
+        m = plot_map("random64")
+        for fmt, renderer in (("csv", render_csv), ("svg", render_svg)):
+            spec = PlotSpec(radii=(0.3, 0.9), samples_per_circle=2 * FORMAT_BLOCK_ROWS + 5, fmt=fmt)
+            blocks = list(plot_blocks(m, spec))
+            assert len(blocks) > 3
+            assert "".join(blocks) == renderer(m, spec)
+
+    def test_one_radius_and_a_sequence(self):
+        m = plot_map("f4")
+        one = circle_image(m, 0.5, 64)
+        both = circle_image(m, [0.5, 0.9], 64)
+        assert one.shape == (64,) and both.shape == (2, 64)
+        assert np.array_equal(both[0], one)
 
 
 class TestSelfIntersection:
