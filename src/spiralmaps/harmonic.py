@@ -247,13 +247,6 @@ class ScanResult:
     witness: complex
     passed: bool
 
-    @classmethod
-    def minimum(cls, values: np.ndarray, points: np.ndarray, threshold: float):
-        """Minimum of ``values``, the first point attaining it, and whether it
-        exceeds ``threshold``."""
-        k = int(np.argmin(values))
-        return cls(float(values[k]), complex(points[k]), bool(values[k] > threshold))
-
 
 # ---------------------------------------------------------------- evaluation
 
@@ -555,6 +548,37 @@ def _ring_powers(r, width: int) -> np.ndarray:
     return (high * low).reshape(-1, r.size)[:width]
 
 
+#: The power table of the last radii :func:`_power_table` kept: (the radii's
+#: bytes, the table), or None.
+_last_table = [None]
+
+
+def _power_table(r, width: int) -> np.ndarray:
+    """r^j for j < ``width`` on each radius r: shape (r.size, width),
+    read-only.
+
+    Entry j < 2n is r^n times entry j - n, for n = 1, 2, 4, ... and r^n from
+    ``r ** n``: a few ulps from ``r ** j``, two roundings per set bit of j,
+    in one product per entry.  No entry depends on ``width``, and r^0 is
+    exactly 1.  The last radii's table is kept, so that the bounds of every
+    scan of one grid share it: a call no wider than the kept table slices it,
+    a wider one rebuilds it."""
+    key = r.tobytes()
+    last = _last_table[0]
+    if last is not None and last[0] == key and last[1].shape[1] >= width:
+        return last[1][:, :width]
+    table = np.empty((r.size, width))
+    table[:, :1] = 1
+    n = 1
+    while n < width:
+        k = min(n, width - n)
+        np.multiply(table[:, :k], (r**n)[:, None], out=table[:, n : n + k])
+        n *= 2
+    table.flags.writeable = False
+    _last_table[0] = key, table  # one tuple, so a thread reads a whole entry
+    return table
+
+
 #: Rounding allowance of the per-ring lower bounds, relative to the size of
 #: what they bound: about 4,500 ulps, where each bound and each computed
 #: value carries a few dozen.
@@ -587,13 +611,17 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
     With ``count`` 2 the bounds from M are left out.  A bound is -inf where
     it is not finite or has no case that holds.
 
-    The sums are one product of their coefficient rows with a table of r^j
-    per block of rings, at most about ``BLOCK_POINTS`` entries, built as
-    r^(s k) r^i with i < s, s about sqrt(width) (:func:`_ring_powers`).  That
-    costs two small power tables and one product per entry, and adds at most
-    one rounding per entry to what ``r ** j`` gives: a few ulps of each sum,
-    where the allowance is about 4,500.  r^0 is exactly 1, so a sum that does
-    not depend on r comes out the same on every ring.
+    Every sum of every member on every ring comes from one BLAS matrix
+    product of the radii's power table (:func:`_power_table`, kept for the
+    last radii) with the sums' coefficient rows, and the bound formulas then
+    run once over all rings.  A call whose table would exceed
+    ``_POOL_POINTS`` entries (1 MiB) runs in blocks of rings within it, so
+    memory does not grow with rings times width.  The product rounds each
+    sum of W terms by at most about W ulps of the sum of their magnitudes,
+    and the table entries carry a few ulps: far inside the allowance of
+    about 4,500 ulps.
+    A sum that does not depend on r comes out the same on every ring, as
+    r^0 is exactly 1 and the other terms are exact zeros.
     """
     members, width = mag.shape
     j = np.arange(width)
@@ -607,9 +635,9 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
         size = (j + 2) * (mag if conj is None else mag + conj)
     # Each sum is a power series in r: the rows hold the coefficients of r^j
     # of D, |phase| E, R T/r, then |p_0| - Sa, Sb, sqrt(R) T/r, M/r and twice
-    # an upper bound on |F|/r, so one table product gives them all, and a sum
-    # that does not depend on r (order 1) comes out the same on every ring.
-    rows = np.empty((8 if full else 3, members, width))
+    # an upper bound on |F|/r.
+    n = 8 if full else 3
+    rows = np.empty((n, members, width))
     np.negative(pq, out=rows[0])
     rows[0, :, 0] += mag[:, 0]
     np.multiply(j, mag, out=rows[1])
@@ -629,15 +657,19 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
         np.add(pq, rows[2], out=rows[7])
         rows[7, :, 0] += mag[:, 0]
         rows[7] *= 2
-    rows = rows.reshape(-1, width)
-    step = max(1, BLOCK_POINTS // width)  # rings per power table
+    # Transposed, so that the product reads both of its operands contiguously.
+    cols = np.ascontiguousarray(rows.reshape(-1, width).T)
     out = np.empty((count, members, r.size))
     cos = complex(phase).real
+    step = max(1, _POOL_POINTS // width)  # rings per power table
     for s in range(0, r.size, step):
         ri = r[s : s + step]
-        # einsum, not BLAS: a matrix product would map BLAS's gemm workspace,
-        # about 0.4 MB of resident memory that nothing else here needs.
-        x = np.einsum("mj,jr->mr", rows, _ring_powers(ri, width)).reshape(-1, members, ri.size)
+        # A BLAS product: its gemm workspace adds about 0.3 MB of resident
+        # memory (256-320 KiB on the first call with OpenBLAS 0.3.31, one
+        # thread), and the kept table up to 1 MiB (400 KiB at order 256 on
+        # 200 radii).
+        x = np.empty((n, members, ri.size))
+        np.matmul(_power_table(ri, width), cols, out=x.reshape(-1, ri.size).T)
         d, e, t = x[:3]
         bound = out[:, :, s : s + step]
         ratio = e / d
@@ -670,10 +702,10 @@ class GridField:
     Rings are evaluated in blocks of at most ``BLOCK_POINTS`` points (half
     that for a closed form, see :func:`_block_rings`) and only each ring's
     minima are kept, so memory does not grow with ``n_radii`` beyond a few
-    numbers per ring.  The four results are ``ScanResult.minimum`` over the
-    whole grid: each ring's first minimiser, then the first ring attaining
-    the least of them, a NaN before any number.  ``pointwise`` is None
-    exactly when min |f| is not above margin_eps (NaN included); the
+    numbers per ring.  The four results are those of one ``np.argmin`` over
+    the whole grid: each ring's first minimiser, then the first ring
+    attaining the least of them, a NaN before any number.  ``pointwise`` is
+    None exactly when min |f| is not above margin_eps (NaN included); the
     quotient is not formed once |f| has dipped below it.
     ``rings_evaluated`` counts the rings evaluated.
 

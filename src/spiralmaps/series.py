@@ -14,8 +14,8 @@ coefficient accurate relative to itself (the 1/n! of ``exp(z)``), and
 ``pow`` is ``exp(mu log)``.  No branch tracking is needed: :func:`log_series`
 requires constant term 1 and :func:`exp_series` constant term 0, which pins
 the principal branch.  :func:`pow_rows` raises a batch of coefficient rows
-to one power with the coefficient-by-coefficient recurrences of ``log`` and
-``exp``, every row at once.
+to one power, every row at once: ``log`` by forward substitution in the
+Toeplitz system of ``s'/s``, ``exp`` by its recurrence.
 """
 
 from __future__ import annotations
@@ -215,8 +215,15 @@ def horner(rows, z) -> np.ndarray:
     return acc.reshape((len(rows),) + zarr.shape)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("i...,i...->...", a, b)
+def _batch_dot(buf: np.ndarray):
+    """Inner products over the first axis, every column at once: the terms
+    go into ``buf`` (at least as long as the operands), then one
+    ``np.add.reduce`` over that axis."""
+
+    def dot(a, b):
+        return np.add.reduce(np.multiply(a, b, out=buf[: len(a)]), axis=0)
+
+    return dot
 
 
 def _require_constant(c: np.ndarray, value: int, what: str) -> None:
@@ -279,27 +286,32 @@ def _toeplitz_solve(t: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _log(c: np.ndarray) -> np.ndarray:
     """log of one series (1-D c) or of each row of a batch (2-D c).
 
-    One series: log s is the integral of s'/s, so L_n = q_{n-1}/n with q the
-    quotient s'/s from :func:`_toeplitz_solve`.  A batch runs the formal ODE
-    recurrence n s_n = sum_{j=0}^{n-1} s_j (n - j) L_{n-j} coefficient by
-    coefficient, every row at once (its rows are short: the unimodular
-    family checks run it at orders up to 64).
+    log s is the integral of s'/s, so L_n = q_{n-1}/n with q the quotient
+    s'/s: T(s) q = (k s_k), k = 1 .. N, with T(s) the lower-triangular
+    Toeplitz matrix of s.  One series solves it with :func:`_toeplitz_solve`;
+    a batch by forward substitution, coefficient by coefficient, every row
+    at once (its rows are short: the unimodular family checks run it at
+    orders up to 64).
     """
     _require_constant(c, 1, "log")
     out = np.zeros_like(c)
     n = c.shape[-1] - 1
-    if c.ndim == 1:
-        if n:
-            k = np.arange(1, n + 1)
-            out[1:] = _toeplitz_solve(c[:n], c[1:] * k) / k
+    if not n:
         return out
-    kl = np.zeros_like(c)  # kl[k] = k * out[k]
-    # On the transposes c[m] is coefficient m of every row.
-    c, o, kl = c.T, out.T, kl.T
-    for m in range(1, n + 1):
-        inner = _row_dot(c[1:m], kl[m - 1 : 0 : -1]) if m > 1 else 0.0
-        o[m] = c[m] - inner / m
-        kl[m] = m * o[m]
+    k = np.arange(1, n + 1)
+    if c.ndim == 1:
+        out[1:] = _toeplitz_solve(c[:n], c[1:] * k) / k
+        return out
+    # On the transposes, scaled to s_0 = 1: T(s/s_0) q = (k s_k / s_0), so
+    # that c[m] is coefficient m of every row and q[m] its q_m, and reversed,
+    # rev[n - j] = c[j], so that c[m], ..., c[1] is a forward slice.
+    c = np.ascontiguousarray(c.T / c[:, 0])
+    rev = np.ascontiguousarray(c[:0:-1])
+    q = k[:, None] * c[1:]  # the right-hand side, overwritten by q
+    dot = _batch_dot(np.empty_like(q))
+    for m in range(1, n):
+        q[m] -= dot(rev[n - m :], q[:m])
+    out[:, 1:] = (q / k[:, None]).T
     return out
 
 
@@ -308,16 +320,16 @@ def _log(c: np.ndarray) -> np.ndarray:
 # for one series, a numpy scalar: there the loop is the plain one-series loop
 # with np.dot, bit for bit and as fast (indexing c[..., n] directly gives 0-d
 # arrays, about 1.5x slower).  The only choice by rank is the inner product,
-# a row-wise dot for a batch.  The output is built back to front, so that
-# E_{n-1}, ..., E_0 is a forward slice: np.dot copies a reversed operand
-# before it sums.  The products and their order are those of a front-to-back
-# loop, so the bits are too.
+# for a batch :func:`_batch_dot` over contiguous transposes.  The output is
+# built back to front, so that E_{n-1}, ..., E_0 is a forward slice: np.dot
+# copies a reversed operand before it sums.  The products and their order
+# are those of a front-to-back loop, so the bits are too.
 
 
 def _exp(c: np.ndarray) -> np.ndarray:
     _require_constant(c, 0, "exp")
-    dot = np.dot if c.ndim == 1 else _row_dot
-    js = (np.arange(c.shape[-1]) * c).T  # js[j] = j * s_j
+    js = np.ascontiguousarray((np.arange(c.shape[-1]) * c).T)  # js[j] = j * s_j
+    dot = np.dot if c.ndim == 1 else _batch_dot(np.empty_like(js))
     n = len(js) - 1
     rev = np.zeros_like(js)  # rev[n - m] = E_m
     rev[n] = 1.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spiralmaps.harmonic import ScanResult
+
 
 @pytest.fixture
 def rng():
@@ -18,6 +20,14 @@ def tail_bounded_coeffs(rng, order, head, tail_budget=0.6):
     mags *= tail_budget * rng.random() / mags.sum()
     phases = np.exp(2j * np.pi * rng.random(order))
     return np.concatenate([[head], mags * phases])
+
+
+def scan_minimum(values: np.ndarray, points: np.ndarray, threshold: float) -> ScanResult:
+    """Minimum of ``values``, the first point attaining it (the first NaN, as
+    ``np.argmin`` takes it), and whether it exceeds ``threshold``: one scan
+    over the whole grid, as the grid scans report it."""
+    k = int(np.argmin(values))
+    return ScanResult(float(values[k]), complex(points[k]), bool(values[k] > threshold))
 
 
 def polyline_self_intersects(points: np.ndarray) -> bool:

@@ -39,7 +39,6 @@ from spiralmaps.harmonic import (
     GridField,
     GridSpec,
     HarmonicMapSpec,
-    ScanResult,
     d_operator,
     eval_f,
     field_rows,
@@ -51,6 +50,8 @@ from spiralmaps.harmonic import (
     ring_values,
 )
 from spiralmaps.series import MAX_ORDER, PowerSeries, pow_rows, pow_series
+
+from conftest import scan_minimum
 
 #: Angle counts below, at and far above typical truncation orders, so that
 #: n is folded mod n_angles in some draws and not in others.
@@ -118,15 +119,15 @@ def test_mirrored_ring_spectra_agree_with_horner(n_angles, order, seed, scale):
 
 
 def full_array_scans(m, p, grid) -> dict:
-    """Each scan of run_all_checks as one ScanResult.minimum over the whole grid."""
+    """Each scan of run_all_checks as one scan_minimum over the whole grid."""
     pts = grid_points(grid)
     eps = grid.margin_eps
     f = eval_f(m, pts)
     return {
-        "sense_preserving": ScanResult.minimum(jacobian(m, pts), pts, eps),
-        "nonvanishing": ScanResult.minimum(np.abs(f), pts, eps),
-        "pointwise": ScanResult.minimum(np.real(p.phase * d_operator(m, pts) / f), pts, -eps),
-        "margin": ScanResult.minimum(spiral_margin(m, p, pts), pts, -eps),
+        "sense_preserving": scan_minimum(jacobian(m, pts), pts, eps),
+        "nonvanishing": scan_minimum(np.abs(f), pts, eps),
+        "pointwise": scan_minimum(np.real(p.phase * d_operator(m, pts) / f), pts, -eps),
+        "margin": scan_minimum(spiral_margin(m, p, pts), pts, -eps),
     }
 
 
@@ -185,7 +186,7 @@ def test_exact_ties_across_blocks_keep_the_first_point():
 
 def test_nan_minima_win_across_blocks():
     # J overflows to NaN at most points: on one block and on 25 the scan
-    # reports the first NaN, as ScanResult.minimum over the whole grid does.
+    # reports the first NaN, as scan_minimum over the whole grid does.
     a, b = np.zeros(49), np.zeros(50)
     a[-1], b[-1] = 1e200, 0.5e200
     m = HarmonicMapSpec(a=a, b=b, truncation_order=50)
@@ -196,7 +197,7 @@ def test_nan_minima_win_across_blocks():
             f, d, p = ring_fields(field_rows(m), radii, spectrum)
             jac = p.real * d.real + p.imag * d.imag
             got = GridField(m, grid).sense_preserving
-        want = ScanResult.minimum(jac, grid_points(grid), grid.margin_eps)
+        want = scan_minimum(jac, grid_points(grid), grid.margin_eps)
         assert math.isnan(want.min_value)
         assert math.isnan(got.min_value) and not got.passed
         assert got.witness == want.witness
@@ -274,7 +275,7 @@ def test_dense_scan_peak_memory_is_a_few_block_arrays():
 
 def every_ring_scan(m: HarmonicMapSpec, grid: GridSpec, phase: complex):
     """GridField's four results from one ring_fields call per ring and
-    ScanResult.minimum over the grid (pointwise is None exactly when min |f|
+    scan_minimum over the grid (pointwise is None exactly when min |f|
     is not above margin_eps), and each ring's minima of |f|, the quotient,
     the Jacobian and the margin, shape (4, n_radii)."""
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
@@ -291,12 +292,12 @@ def every_ring_scan(m: HarmonicMapSpec, grid: GridSpec, phase: complex):
         f, rot_df, jac = (np.concatenate(v) for v in (f, rot_df, jac))
         values = np.stack([np.abs(f), (rot_df / f).real, jac, np.abs(f + rot_df) - np.abs(f - rot_df)])
     z, eps = pts.ravel(), grid.margin_eps
-    low = ScanResult.minimum(values[0], z, eps)
+    low = scan_minimum(values[0], z, eps)
     scans = {
         "nonvanishing": low,
-        "pointwise": ScanResult.minimum(values[1], z, -eps) if low.min_value > eps else None,
-        "sense_preserving": ScanResult.minimum(values[2], z, eps),
-        "margin": ScanResult.minimum(values[3], z, -eps),
+        "pointwise": scan_minimum(values[1], z, -eps) if low.min_value > eps else None,
+        "sense_preserving": scan_minimum(values[2], z, eps),
+        "margin": scan_minimum(values[3], z, -eps),
     }
     return scans, values.reshape(4, grid.n_radii, grid.n_angles).min(axis=2)
 
@@ -400,15 +401,37 @@ def test_affine_maps_evaluate_every_ring():
                 assert got.rings_evaluated == grid.n_radii
 
 
-def exact_ring_powers(r, width):
-    return r ** np.arange(width)[:, None]
+def swap_bound_sums(monkeypatch, product, table=harmonic._power_table):
+    """Make ring_bounds form its sums as ``product(table(r, width), cols)``
+    in place of BLAS's product with the kept power table (shape (r.size,
+    width))."""
+
+    class Table(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, out=None, **kwargs):
+            assert ufunc is np.matmul and method == "__call__" and not kwargs
+            value = product(*(np.asarray(a) for a in args))
+            if out is None:
+                return value
+            out[0][...] = value
+            return out[0]
+
+    monkeypatch.setattr(harmonic, "_power_table", lambda r, width: table(r, width).view(Table))
+
+
+def exact_power_table(r, width):
+    return r[:, None] ** np.arange(width)
+
+
+def plain_sums(table, cols):
+    return (table[:, :, None] * cols[None]).sum(axis=1)
 
 
 @pytest.mark.parametrize("order", [1024, MAX_ORDER])
 @pytest.mark.parametrize("kind", ["series", "signed", "steep"])
 def test_ring_bounds_at_high_orders(monkeypatch, order, kind):
-    # The two-level power table r^(s k) r^i moves each bound by far less
-    # than its rounding allowance, and no bound exceeds its ring's minimum.
+    # The power table r^n r^(j - n) and BLAS's sums move each bound by far
+    # less than its rounding allowance, against exact powers r ** j and
+    # numpy's own sums, and no bound exceeds its ring's minimum.
     rng = np.random.default_rng(order + len(kind))
     p = SpiralParams(0.6)
     if kind == "series":
@@ -419,7 +442,9 @@ def test_ring_bounds_at_high_orders(monkeypatch, order, kind):
         a = np.zeros(order - 1, dtype=np.complex128)
         a[-rng.integers(1, 20)] = 0.5 * cmath.exp(2j * math.pi * rng.random())
         m = HarmonicMapSpec(a=a, b=[0.1], truncation_order=order)
-    grid = GridSpec(r_min=0.99, r_max=0.9995, n_radii=4, n_angles=64)
+    # At MAX_ORDER the table of 40 radii is above the pool's size, so the
+    # bounds run in two blocks of rings.
+    grid = GridSpec(r_min=0.99, r_max=0.9995, n_radii=40, n_angles=64)
     radii = np.linspace(grid.r_min, grid.r_max, grid.n_radii)
     h = np.ones((1, order))
     h[0, 1:] = np.abs(m.a)
@@ -431,8 +456,9 @@ def test_ring_bounds_at_high_orders(monkeypatch, order, kind):
                 ring_bounds(family, radii, size=size, count=2)[:, 0])
 
     got = bounds()
-    monkeypatch.setattr(harmonic, "_ring_powers", exact_ring_powers)
+    swap_bound_sums(monkeypatch, plain_sums, exact_power_table)
     exact = bounds()
+    assert not all(map(np.array_equal, got, exact))  # the reference reaches the bounds
     monkeypatch.setattr(harmonic, "BOUND_ROUNDING", 0.0)
     bare = bounds()
     for b, e, z in zip(got, exact, bare):
@@ -442,6 +468,70 @@ def test_ring_bounds_at_high_orders(monkeypatch, order, kind):
         assert np.all(np.abs(b - e) <= 1e-2 * allowance), np.abs(b - e) / allowance
     _, minima = every_ring_scan(m, grid, p.phase)
     assert not np.any(got[0] > minima), np.argwhere(got[0] > minima)
+
+
+def test_power_table_keeps_only_the_last_radii():
+    # One radii's table is kept: a narrower call slices it, a wider one
+    # rebuilds it with the same entries, and other radii replace it.
+    a, b = np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 6)
+    wide = harmonic._power_table(a, 9)
+    assert not wide.flags.writeable
+    assert np.shares_memory(harmonic._power_table(a, 4), wide)
+    wider = harmonic._power_table(a, 17)
+    assert not np.shares_memory(wider, wide) and np.array_equal(wider[:, :9], wide)
+    assert np.shares_memory(harmonic._power_table(a, 9), wider)
+    harmonic._power_table(b, 3)
+    key, table = harmonic._last_table[0]
+    assert key == b.tobytes() and table.shape == (6, 3)
+    narrow = harmonic._power_table(a, 4)  # built again, entries independent of the width
+    assert not np.shares_memory(narrow, wider) and np.array_equal(narrow, wider[:, :4])
+    assert np.array_equal(narrow[:, :2], np.stack([np.ones(5), a], axis=1))
+
+
+def old_bound_table(r, width):
+    # The two-level table r^(s k) r^i, s about sqrt(width), that the einsum
+    # path of ring_bounds built per block of rings.
+    s = math.isqrt(width - 1) + 1
+    low = r ** np.arange(s)[:, None]
+    high = r ** np.arange(0, width, s)[:, None, None]
+    return (high * low).reshape(-1, r.size)[:width].T
+
+
+def einsum_sums(table, cols):
+    return np.einsum("rj,jm->rm", table, cols)
+
+
+def test_scans_do_not_depend_on_the_bound_arithmetic(monkeypatch):
+    # The bounds choose which rings are evaluated, and a skipped ring holds no
+    # minimum, tie or NaN: with the sums of the einsum path (its own table,
+    # its own order of sums) every result is the same, repr for repr.
+    p = SpiralParams(0.6)
+    rng = np.random.default_rng(19)
+    # Radii a few ulps apart as well: there the rings' minima tie, and the
+    # signed maps meet their bounds on the positive axis.
+    grids = [GridSpec(n_radii=60, n_angles=256),
+             GridSpec(r_min=0.4, r_max=0.4 + 40 * float(np.spacing(0.4)), n_radii=40, n_angles=64)]
+    maps = [random_sufficient_map(rng, p, order=order, n_terms=order // 2) for order in (8, 64, 256)]
+    maps += [random_signed_map(rng, p, order=order, n_terms=order // 2) for order in (64, 256)]
+    maps += [random_series_map(rng, 64, 0.9), random_series_map(rng, 256, 2.0), family_map(5, 24, 0.8)]
+    H, G = PowerSeries(maps[1].h_coefficients()), PowerSeries(np.conj(maps[1].g_coefficients()))
+
+    def outcomes():
+        out = []
+        for grid in grids:
+            for m in maps:
+                with np.errstate(all="ignore"):
+                    field = GridField(m, grid, p.phase)
+                out.append([repr(getattr(field, name)) for name, _ in harmonic._SCANS])
+                out.append(eps_outcome(lambda: epsilon_starlike_check(m, grid, n_eps=16)))
+            out.append(eps_outcome(lambda: transform_family_check(H, G, p, grid, n_eps=16)))
+        return out
+
+    want = outcomes()
+    calls = []
+    swap_bound_sums(monkeypatch, lambda *args: calls.append(1) or einsum_sums(*args), old_bound_table)
+    assert outcomes() == want
+    assert calls  # the swap reaches the bounds
 
 
 # ------------------------------------------------------- unimodular families

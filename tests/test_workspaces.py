@@ -197,6 +197,51 @@ def test_concurrent_family_checks_equal_serial_ones():
     assert got[1] == [want[::-1]] * rounds
 
 
+def test_concurrent_ring_bounds_equal_serial_ones():
+    # The kept power table is one entry for the whole process: threads asking
+    # for other radii and widths replace it under each other, and each call
+    # must still use the table of its own radii.  The widest job's table is
+    # above the pool's size, so it runs in two blocks of rings.
+    rng = np.random.default_rng(11)
+    jobs = []
+    for n_radii, width in ((40, 17), (40, 65), (7, 65), (200, 256), (40, 3), (40, 4096)):
+        radii = np.linspace(1e-3, 0.99, n_radii)
+        mag = rng.random((4, width)) / width
+        jobs.append(lambda r=radii, mag=mag: harmonic.ring_bounds(mag, r, np.exp(0.3j), mag, count=4))
+    want = [job() for job in jobs]
+    rounds, n_threads = 20, 4
+    start, errors = threading.Barrier(n_threads), []
+    got = {t: [] for t in range(n_threads)}
+
+    def worker(t):
+        try:
+            for k in range(rounds):
+                start.wait(timeout=60)
+                order = np.random.default_rng([t, k]).permutation(len(jobs))
+                got[t].append({int(i): jobs[i]() for i in order})
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+            start.abort()
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the calls
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for t in range(n_threads):
+        assert len(got[t]) == rounds
+        for done in got[t]:
+            for i, bounds in done.items():
+                assert np.array_equal(bounds, want[i], equal_nan=True), (t, i)
+
+
 # ------------------------------------------------------ the one-series defect
 
 
