@@ -305,11 +305,12 @@ def _cmd_construct(args) -> int:
 def _cmd_plot(args) -> int:
     m, _ = load_map_file(args.file)
     try:
-        radii = (
-            tuple(float(r) for r in args.radii.split(","))
-            if args.radii
-            else DEFAULT_RADII
-        )
+        if args.radii is None:
+            radii = DEFAULT_RADII
+        elif args.radii.strip():
+            radii = tuple(float(r) for r in args.radii.split(","))
+        else:
+            radii = ()  # PlotSpec refuses it: need at least one radius
         spec = PlotSpec(
             radii=radii,
             samples_per_circle=args.samples,

@@ -11,17 +11,22 @@ call), and rejects a curve that overflowed to NaN or inf with
 ``ValueError("non-finite number in output")``, without numpy warnings.
 Then :func:`plot_blocks` formats it a block at a time, which the CLI writes
 as it goes; :func:`render_csv` and :func:`render_svg` join the same blocks.
-Numbers are formatted one array at a time by ``mapfile.format_array``: one
-call per block of at most ``FORMAT_BLOCK_ROWS`` SVG points or CSV rows of a
-curve, and one per block of the CSV angle column, which every radius of a
-one-block circle shares.  Only the handful of SVG header numbers go through
-``mapfile.format_number``.
+Numbers are formatted one array at a time by ``mapfile.format_array``, one
+call per block: as many whole circles as fit in ``FORMAT_BLOCK_ROWS`` SVG
+points or CSV rows (the default plot is two blocks), or at most that many
+rows of one longer circle.  A block's template is joined from pieces kept
+for the last sample count in one-entry memos: the CSV angle column, already
+formatted and split at the radius of each row, and the SVG point template;
+``circle_image`` keeps the unit-circle points of a circle of at most one
+block the same way.  Only the handful of SVG header numbers and the radii
+go through ``mapfile.format_number``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -37,10 +42,15 @@ DEFAULT_RADII = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)
 #: points, or about 40 MB of CSV text.
 MAX_PLOT_POINTS = 1_000_000
 
-#: CSV rows or SVG points formatted per ``format_array`` call, so that the
-#: template and the numbers held at once do not grow with the samples per
-#: circle; a default 720-sample curve is one block.
+#: CSV rows or SVG points formatted per ``format_array`` call: as many whole
+#: curves as fit (five of the default 720-sample ones), or part of a longer
+#: one, so that the template and the numbers held at once do not grow with
+#: the plot.
 FORMAT_BLOCK_ROWS = 4096
+
+#: The radius slot of a circle's memoised CSV rows; no formatted number
+#: contains it.
+_RADIUS = "r"
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -59,6 +69,12 @@ class PlotSpec:
     height: int = 800
 
     def __post_init__(self):
+        for name in ("samples_per_circle", "width", "height"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ValueError("need at least one radius")
@@ -75,13 +91,33 @@ class PlotSpec:
             )
         if self.fmt not in ("svg", "csv"):
             raise ValueError("format must be 'svg' or 'csv'")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("canvas dimensions must be positive")
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"canvas {name} must be positive")
         object.__setattr__(self, "radii", radii)
 
 
-def _angles(samples: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(samples) / samples
+def _angles(samples: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Angles ``start:stop`` of ``samples`` equally spaced ones; each has the
+    bits of its entry in the whole column."""
+    return 2.0 * np.pi * np.arange(start, samples if stop is None else stop) / samples
+
+
+def _unit_circle(samples: int) -> np.ndarray:
+    """e^{i theta} at the angles of ``samples``.  Up to one format block of
+    them is kept, read-only, for the next circle at that count; a kept
+    table would live through the evaluation of a larger circle and raise
+    its peak (by 16 MB at the point cap)."""
+    if samples > FORMAT_BLOCK_ROWS:
+        return np.exp(1j * _angles(samples))
+    return _kept_unit_circle(samples)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_unit_circle(samples: int) -> np.ndarray:
+    u = np.exp(1j * _angles(samples))
+    u.flags.writeable = False
+    return u
 
 
 def circle_image(m: HarmonicMapSpec, r, samples: int) -> np.ndarray:
@@ -92,7 +128,7 @@ def circle_image(m: HarmonicMapSpec, r, samples: int) -> np.ndarray:
     Overflow gives NaN or inf points silently; the renderers reject them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return eval_f(m, np.multiply.outer(r, np.exp(1j * _angles(samples))))
+        return eval_f(m, np.multiply.outer(r, _unit_circle(samples)))
 
 
 def _images(m: HarmonicMapSpec, spec: PlotSpec) -> np.ndarray:
@@ -115,26 +151,44 @@ def _images(m: HarmonicMapSpec, spec: PlotSpec) -> np.ndarray:
     return w
 
 
+def _format_blocks(circles: int, rows: int) -> Iterator[tuple[range, int, int]]:
+    """The format blocks of ``circles`` curves of ``rows`` rows each, in
+    output order: ``(ks, start, stop)`` stands for rows ``start:stop`` of
+    every curve in the range ``ks``.  A block is as many whole curves as fit
+    in ``FORMAT_BLOCK_ROWS`` rows, or at most that many rows of one longer
+    curve."""
+    per = max(1, FORMAT_BLOCK_ROWS // rows)
+    for k in range(0, circles, per):
+        ks = range(k, min(k + per, circles))
+        for start in range(0, rows, FORMAT_BLOCK_ROWS):
+            yield ks, start, min(start + FORMAT_BLOCK_ROWS, rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _angle_rows(samples: int, start: int, stop: int) -> tuple:
+    """Rows ``start:stop`` of one circle's CSV as a template split at its
+    radius slots, so that ``head.join`` puts the radius text ``head`` at the
+    start of each row: a row is the formatted angle and two ``%.9g`` slots."""
+    angles = _angles(samples, start, stop)
+    rows = format_array(f"{_RADIUS},%.9g,%%.9g,%%.9g\n" * angles.size, angles)
+    return tuple(rows.split(_RADIUS))
+
+
+@functools.lru_cache(maxsize=1)
+def _point_template(points: int) -> str:
+    """The ``%.9g,%.9g`` slots of ``points`` SVG polyline points."""
+    return " ".join(["%.9g,%.9g"] * points)
+
+
 def _csv_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
-    samples = spec.samples_per_circle
-    angles = _angles(samples)
-
-    # The angle column of a row block; kept while a circle is one block, so
-    # that every radius of a small plot shares it.
-    @functools.lru_cache(maxsize=1)
-    def thetas(i: int) -> list:
-        column = angles[i : i + FORMAT_BLOCK_ROWS]
-        return format_array("%.9g\n" * column.size, column).split()
-
     yield "r,theta,re,im\n"
-    for r, curve in zip(spec.radii, w):
-        # Row j is "r,theta_j,re_j,im_j": r and theta_j are fixed text in the
-        # template, re_j and im_j its two %.9g slots.
-        head = format_number(r) + ","
-        for i in range(0, samples, FORMAT_BLOCK_ROWS):
-            rows = slice(i, i + FORMAT_BLOCK_ROWS)
-            template = head + f",%.9g,%.9g\n{head}".join(thetas(i)) + ",%.9g,%.9g\n"
-            yield format_array(template, curve.real[rows], curve.imag[rows])
+    heads = [format_number(r) for r in spec.radii]
+    samples = spec.samples_per_circle
+    for ks, start, stop in _format_blocks(len(heads), samples):
+        rows = _angle_rows(samples, start, stop)
+        template = "".join([heads[k].join(rows) for k in ks])
+        block = w[ks.start : ks.stop, start:stop]
+        yield format_array(template, block.real.ravel(), block.imag.ravel())
 
 
 def _svg_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
@@ -155,15 +209,22 @@ def _svg_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
 
 
 def _polylines(w: np.ndarray, stroke: str) -> Iterator[str]:
-    for k, curve in enumerate(w):
-        closed = np.append(curve, curve[0])
-        color = _PALETTE[k % len(_PALETTE)]
-        yield f'<polyline fill="none" stroke="{color}" stroke-width="{stroke}" points="'
-        for i in range(0, closed.size, FORMAT_BLOCK_ROWS):
-            pts = closed[i : i + FORMAT_BLOCK_ROWS]
-            template = " ".join(["%.9g,%.9g"] * pts.size)
-            yield (" " if i else "") + format_array(template, pts.real, -pts.imag)
-        yield '"/>\n'
+    samples = w.shape[1]
+    # A closed curve has samples + 1 points, the last repeating the first.
+    for ks, start, stop in _format_blocks(w.shape[0], samples + 1):
+        points = _point_template(stop - start)
+        tail = '"/>\n' if stop > samples else ""
+        pieces = []
+        for k in ks:
+            head = (
+                f'<polyline fill="none" stroke="{_PALETTE[k % len(_PALETTE)]}" '
+                f'stroke-width="{stroke}" points="'
+                if start == 0
+                else " "
+            )
+            pieces += (head, points, tail)
+        pts = w[ks.start : ks.stop, np.arange(start, stop) % samples]
+        yield format_array("".join(pieces), pts.real.ravel(), -pts.imag.ravel())
     yield "</svg>\n"
 
 

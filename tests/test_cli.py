@@ -388,6 +388,14 @@ class TestPlot:
         assert rc == 0
         assert out_path.read_text().count("<polyline") == 2
 
+    @pytest.mark.parametrize("radii", ["", " "])
+    def test_empty_radii_is_usage_error(self, identity_file, tmp_path, capsys, radii):
+        # An explicitly empty list is refused, not read as "the default radii".
+        out_path = tmp_path / "p.svg"
+        rc, out, err = run_cli(["plot", identity_file, "--radii", radii, "--out", str(out_path)], capsys)
+        assert (rc, out, err) == (2, "", "error: need at least one radius\n")
+        assert not out_path.exists()
+
 
 class TestCatalog:
     def test_list(self, capsys):

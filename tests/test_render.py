@@ -1,6 +1,8 @@
 """SVG/CSV rendering and the curve self-intersection scan."""
 
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -105,6 +107,25 @@ class TestPlotSpec:
             PlotSpec(radii=(0.2, 0.5), samples_per_circle=MAX_PLOT_POINTS // 2 + 1)
         with pytest.raises(ValueError, match="at most"):
             PlotSpec(samples_per_circle=2_000_000_000)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("samples_per_circle", 64.5), ("samples_per_circle", np.float64(100.0)),
+         ("width", 0.5), ("height", 800.0), ("width", "800")],
+    )
+    def test_integer_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            PlotSpec(**{name: value})
+
+    def test_numpy_integers_are_accepted(self):
+        spec = PlotSpec(radii=(0.5,), samples_per_circle=np.int64(64), width=np.int32(300))
+        assert type(spec.samples_per_circle) is int and type(spec.width) is int
+        assert render_svg(identity_map(2), spec).count("<polyline") == 1
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_canvas_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"^canvas {name} must be positive"):
+            PlotSpec(**{name: 0})
 
 
 class TestCurves:
@@ -241,6 +262,63 @@ class TestBlockedEvaluation:
         both = circle_image(m, [0.5, 0.9], 64)
         assert one.shape == (64,) and both.shape == (2, 64)
         assert np.array_equal(both[0], one)
+
+
+MEMOS = (render._angle_rows, render._point_template, render._kept_unit_circle)
+
+
+class TestFormatBlocks:
+    """A render formats blocks of whole circles, one ``format_array`` call
+    each, from templates kept per sample count."""
+
+    @pytest.mark.parametrize("fmt, renderer", [("svg", render_svg), ("csv", render_csv)])
+    def test_default_plot_is_at_most_two_format_calls(self, fmt, renderer):
+        m = catalog("f2", p=SpiralParams(0.7), alpha=0.9)
+        renderer(m, PlotSpec(fmt=fmt))  # the CSV angle column is formatted here
+        with mock.patch.object(render, "format_array", wraps=render.format_array) as counted:
+            renderer(m, PlotSpec(fmt=fmt))
+        assert counted.call_count <= 2
+
+    def test_angle_column_is_formatted_once_per_sample_count(self):
+        m = catalog("f2", p=SpiralParams(0.7), alpha=0.9)
+        for memo in MEMOS:
+            memo.cache_clear()
+        with mock.patch.object(render, "format_array", wraps=render.format_array) as counted:
+            first, second = (render_csv(m, PlotSpec(fmt="csv")) for _ in range(2))
+        # The angle column is the one call with a single column.
+        assert [len(c.args) for c in counted.call_args_list].count(2) == 1
+        assert render._angle_rows.cache_info().misses == 1
+        assert first == second
+
+    def test_memos_keep_only_the_last_sample_count(self):
+        m = catalog("f2", p=SpiralParams(0.7), alpha=0.9)
+        for renderer in (render_csv, render_svg):
+            renderer(m, PlotSpec(samples_per_circle=128))
+        unit = weakref.ref(render._kept_unit_circle(128))
+        for renderer in (render_csv, render_svg):
+            renderer(m, PlotSpec(samples_per_circle=64))
+        assert [memo.cache_info().currsize for memo in MEMOS] == [1, 1, 1]
+        gc.collect()
+        assert unit() is None
+
+    @pytest.mark.parametrize(
+        "samples, n_radii",
+        [(720, 5), (720, 6), (720, 11)]
+        + [(FORMAT_BLOCK_ROWS + d, n) for d in (-1, 0, 1) for n in (1, 2)],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_block_edges_match_per_radius_references(self, samples, n_radii, fmt):
+        # Five 720-sample circles fill a block; at FORMAT_BLOCK_ROWS samples a
+        # CSV circle is one block and an SVG one (samples + 1 points) is split.
+        m = plot_map("random64")
+        spec = PlotSpec(radii=tuple(np.linspace(0.2, 0.95, n_radii)), samples_per_circle=samples, fmt=fmt)
+        reference, renderer = (per_radius_csv, render_csv) if fmt == "csv" else (per_radius_svg, render_svg)
+        want = reference(m, spec)
+        assert renderer(m, spec) == want
+        blocks = list(plot_blocks(m, spec))
+        assert "".join(blocks) == want
+        # Each block holds at most FORMAT_BLOCK_ROWS CSV rows or SVG points.
+        assert max(b.count("\n" if fmt == "csv" else ",") for b in blocks) <= FORMAT_BLOCK_ROWS
 
 
 class TestSelfIntersection:
