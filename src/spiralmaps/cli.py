@@ -137,7 +137,10 @@ def _parse_grid(text: str, eps: float) -> GridSpec:
 
 
 def _order(n, what: str):
-    """An order or coefficient index from argv; above MAX_ORDER a usage error."""
+    """An order or coefficient index from argv; below 1 or above MAX_ORDER a
+    usage error."""
+    if n is not None and n < 1:
+        raise argparse.ArgumentTypeError(f"{what} {n} is below the least order 1")
     if n is not None and n > MAX_ORDER:
         raise argparse.ArgumentTypeError(f"{what} {n} exceeds the largest order {MAX_ORDER}")
     return n

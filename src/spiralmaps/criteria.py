@@ -27,6 +27,7 @@ from .harmonic import (
     GridField,
     GridSpec,
     HarmonicMapSpec,
+    RingTable,
     ScanResult,
     _block_rings,
     d_operator,
@@ -343,23 +344,17 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     Re(num/den) over each ring, each of shape (members, rings), less a
     rounding allowance: at most every computed value, -inf (or NaN) for none.
 
-    The scan takes each ring's lowest bounds over every eps and walks the
-    rings with :func:`walk_rings`, evaluating a ring for every eps in chunks
-    of about ``BLOCK_POINTS`` values: first the rings of the lowest quotient
-    bound, ties included, then the others radius-major where their bounds do
-    not clear margin_eps or the least value found so far.  No skipped ring
-    can hold the minimum, a tie with it, a NaN or a near-zero member.  Each
-    ring records its least Re(num/den) with the first eps and point
-    attaining it, and the first eps whose |den| is not above margin_eps
-    there with that member's least |den| and its point.  The outcome is read
-    from these records in an order the walk does not affect, so it is that
-    of the full sampled scan bit for bit, in memory of about
-    ``BLOCK_POINTS`` values plus per-ring arrays; the |den| of a call go to
-    a pooled :func:`~spiralmaps.harmonic.workspace`: :class:`NearZeroError`
-    (``what`` naming the denominator) for the smallest near-zero eps, at its
-    least |den| (NaN first) on the first ring; else the least value (NaN
-    first) for its smallest eps, on the first ring.  The quotient is formed
-    only for members whose |den| is above margin_eps on the rings at hand.
+    The scan walks the rings (:func:`walk_rings`), each for every eps in
+    chunks of about ``BLOCK_POINTS`` values: first the rings of the lowest
+    quotient bound over every eps, ties included, then the others where
+    those bounds do not clear margin_eps or the least value found so far.
+    It forms the quotient only for members whose |den| is above margin_eps
+    on the rings at hand.  A :class:`~spiralmaps.harmonic.RingTable` tagged
+    by eps records each ring's first eps whose |den| is not above
+    margin_eps, with its least |den|, and its least Re(num/den).  Raises
+    :class:`NearZeroError` (``what`` naming the denominator) for the
+    smallest near-zero eps, else returns the least value: either is that of
+    the full sampled scan, bit for bit.
     """
     n, margin, n_angles = eps.size, grid.margin_eps, grid.n_angles
     chunk = min(n, max(1, BLOCK_POINTS // n_angles))
@@ -369,66 +364,48 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     lowest = np.full((2, radii.size), np.inf)  # per ring, over every eps
     for which in chunks:
         for s in range(0, radii.size, span):
-            low = np.asarray(bounds(which, radii[s : s + span])).min(axis=1)
-            np.minimum(lowest[:, s : s + span], low, out=lowest[:, s : s + span])
+            b = np.asarray(bounds(which, radii[s : s + span])).min(axis=1)
+            np.minimum(lowest[:, s : s + span], b, out=lowest[:, s : s + span])
     lowest[np.isnan(lowest)] = -np.inf  # no bound
-    ring_low, ring_bound = lowest
-    # Each ring's records, near zero and quotient: the value, the point and
-    # the eps (n: no near-zero eps yet).  A ring reading inf everywhere has
-    # inf at its first point.
-    low = np.full((2, radii.size), np.inf)
-    at = np.tile(radii.astype(np.complex128), (2, 1))
-    first = np.zeros((2, radii.size), dtype=np.intp)
-    first[0] = n
-
-    def keep(row, i, won, which, v, z):
-        low[row, i[won]], at[row, i[won]], first[row, i[won]] = v[won], z[won], which[won]
-
-    def record(which, i):
-        # The members which on the rings i, merged within one call so that no
-        # chunk's values outlive it.  Chunks come in eps order.
-        den, num = values(which, radii[i])
-        z, rings = (radii[i, None] * angles).ravel(), np.arange(i.size)
-        v, k = ring_minima(np.abs(den, out=mags[: den.size].reshape(den.shape)), n_angles)
-        near = ~(v > margin)
-        if near.any():
-            j = near.argmax(axis=0)  # the first near-zero member on each ring
-            keep(0, i, near[j, rings] & (first[0, i] == n), which[j], v[j, rings], z[k[j, rings]])
-            clear = ~near.any(axis=1)
-            which, den, num = which[clear], den[clear], num[clear]
-        if which.size:
-            v, k = ring_minima(np.divide(num, den, out=num).real, n_angles)
-            j = v.argmin(axis=0)  # the first least member on each ring, NaN first
-            v, k = v[j, rings], k[j, rings]
-            keep(1, i, ~((v >= low[1, i]) | np.isnan(low[1, i])), which[j], v, z[k])
+    table = RingTable(lowest, radii)  # rows: near-zero |den|, Re(num/den)
 
     def scan(i):
+        # Each chunk's members on the rings i, in eps order, merged within the
+        # chunk's call so that no chunk's values outlive it.
+        z, rings = (radii[i, None] * angles).ravel(), np.arange(i.size)
         for which in chunks:
-            record(which, i)
+            den, num = values(which, radii[i])
+            v, k = ring_minima(np.abs(den, out=mags[: den.size].reshape(den.shape)), n_angles)
+            near = ~(v > margin)
+            if near.any():
+                j = near.argmax(axis=0)  # the first near-zero member on each ring
+                new = near[j, rings] & (table.low[0, i] == np.inf)  # and none before it
+                table.merge(0, i[new], v[j, rings][new], z[k[j, rings]][new], which[j][new])
+                clear = ~near.any(axis=1)
+                which, den, num = which[clear], den[clear], num[clear]
+            if which.size:
+                v, k = ring_minima(np.divide(num, den, out=num).real, n_angles)
+                j = v.argmin(axis=0)  # the first least member on each ring, NaN first
+                table.merge(1, i, v[j, rings], z[k[j, rings]], which[j])
+        table.evaluated[i] = True
 
     def skip(i):  # the rings whose bounds over every eps clear the least value and the margin
-        return (ring_bound[i] > np.fmin.reduce(low[1])) & (ring_low[i] > margin)
+        return (table.bounds[1, i] > np.fmin.reduce(table.low[1])) & (table.bounds[0, i] > margin)
 
-    seed = np.flatnonzero(ring_bound == ring_bound.min())
-    # A call holds at most chunk members on a block of rings of about
-    # BLOCK_POINTS // chunk values: BLOCK_POINTS values, or one ring.
+    seed = np.flatnonzero(lowest[1] == lowest[1].min())
+    # A pooled workspace for the |den| of a call: at most chunk members on a
+    # block of rings of about BLOCK_POINTS // chunk values, or one ring.
     with workspace(-(-max(BLOCK_POINTS, n_angles) // 2)) as spare:
         mags = spare.view(np.float64)
         walk_rings(seed, radii.size, _block_rings(grid, max(chunk, 2)), scan, skip)
-    e = first[0].min()
-    if e < n:
-        i = np.flatnonzero(first[0] == e)
-        i = i[np.argmin(low[0, i])]
+    i = np.flatnonzero(table.low[0] != np.inf)  # the rings with a near-zero eps
+    if i.size:
+        v, z, e = (a[0] for a in table.least(i[table.tag[0, i] == table.tag[0, i].min()]))
         raise NearZeroError(
-            f"|{what}| = {low[0, i]:.3e} below margin at eps = {complex(eps[e])}, "
-            f"z = {complex(at[0, i])}"
+            f"|{what}| = {v:.3e} below margin at eps = {complex(eps[e])}, z = {complex(z)}"
         )
-    best = low[1, np.argmin(low[1])]
-    i = np.flatnonzero(np.isnan(low[1]) if np.isnan(best) else low[1] == best)
-    i = i[np.argmin(first[1, i])]
-    return EpsilonScanResult(
-        float(best), complex(at[1, i]), complex(eps[first[1, i]]), bool(best > -margin)
-    )
+    best, z, e = (a[1] for a in table.least())
+    return EpsilonScanResult(float(best), complex(z), complex(eps[e]), bool(best > -margin))
 
 
 def epsilon_starlike_check(

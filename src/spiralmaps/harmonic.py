@@ -16,22 +16,15 @@ is > -eps.  The witness is the first grid point, in radius-major order, that
 attains the minimum, or the first NaN (which fails), as for ``np.argmin``.
 
 :class:`GridField` feeds one scan kernel from two producers: a series-backed
-map through the FFT, a closed form directly.  Both it and
-``criteria.family_scan``, the one scan of both unimodular-family checks, walk
-the rings with :func:`walk_rings`: first the rings holding the lowest of the
-per-ring lower bounds of :func:`ring_bounds` (every ring when there are none,
-as for a closed form), then the other rings radius-major in blocks, skipping
-a ring only where its bounds clear the minima found so far.  Each scan keeps
-per-ring minima with their first minimisers (:func:`ring_minima`) and
-reduces them by value, then by order, so its results are those of
-evaluating every ring, bit for bit, whatever order the walk took.  The
-family and transform scans take their workspaces from :func:`workspace`,
-one small pool per thread, so a scan run again reuses memory it has written
-before.
-Points off the grid go through Horner (:func:`~spiralmaps.series.horner`):
-:func:`part_values` gives h, g, h' and g' of a series at the witness from one
-loop over their four stacked rows, bit for bit as four separate
-:meth:`PowerSeries.evaluate` calls.  When
+map through the FFT, a closed form directly.  It and ``criteria.family_scan``,
+the one scan of both unimodular-family checks, walk the rings with
+:func:`walk_rings`, first those holding the lowest of the per-ring lower
+bounds of :func:`ring_bounds` (every ring when there are none, as for a
+closed form), then the others where their bounds do not clear the minima
+found so far, and record each ring's minima in one :class:`RingTable`.  The
+family and transform scans take their workspaces from :func:`workspace`.
+Points off the grid go through Horner (:func:`~spiralmaps.series.horner`),
+h, g, h' and g' at the witness in one loop (:func:`part_values`).  When
 n_angles is a multiple of 4 the grid's axis points are exact, as the FFT's
 angles 2 pi j / n_angles are: ``exp(i pi / 2)`` is off the imaginary axis by
 6e-17, where 2 Re z reads 1e-19 and not the 0 the scan reports.  Grids hold
@@ -382,6 +375,44 @@ def ring_minima(values, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     return values[np.arange(k.shape[0])[:, None], k], k
 
 
+class RingTable:
+    """The per-ring record of a pruned scan.  For each scanned quantity (row
+    q) and ring i: the lower bound ``bounds[q, i]``, the least value recorded
+    ``low[q, i]`` (inf until one is), its first minimiser ``at[q, i]`` (the
+    ring's first point until then) and ``tag[q, i]`` (a family member's eps
+    index, else 0); ``evaluated[i]`` marks the rings evaluated.  A scan that
+    records each ring once writes the arrays, one that records a ring in
+    parts calls :meth:`merge`, and :meth:`least` reads the results as
+    evaluating every ring gives them, bit for bit, whatever the walk's order."""
+
+    def __init__(self, bounds, radii):
+        self.bounds = bounds
+        self.low = np.full(bounds.shape, np.inf)
+        self.at = np.empty(bounds.shape, dtype=np.complex128)
+        self.at[:] = radii
+        self.tag = np.zeros(bounds.shape, dtype=np.intp)
+        self.evaluated = np.zeros(radii.size, dtype=bool)
+
+    def merge(self, q, i, v, z, tag):
+        """Keep each value v, its point z and its tag on ring i of row q where
+        v comes first: a NaN before any number, and on a tie the value kept."""
+        won = ~((v >= self.low[q, i]) | np.isnan(self.low[q, i]))
+        i = i[won]
+        self.low[q, i], self.at[q, i], self.tag[q, i] = v[won], z[won], tag[won]
+
+    def least(self, rings=slice(None)):
+        """Each row's least value (a NaN first) over the rings ``rings``
+        (ascending indices; all by default), with its point and tag: the
+        least tag holding it, then the first ring.  Three arrays by row."""
+        low, at, tag = self.low[:, rings], self.at[:, rings], self.tag[:, rings]
+        q, k = np.arange(low.shape[0]), low.argmin(axis=1)
+        if np.count_nonzero(tag):
+            best = low[q, k][:, None]
+            tie = (low == best) | (np.isnan(low) & np.isnan(best))
+            k = np.where(tie, tag, np.iinfo(np.intp).max).argmin(axis=1)
+        return low[q, k], at[q, k], tag[q, k]
+
+
 #: Most values a level of the workspace pool keeps between uses: eight
 #: blocks (2 MiB), two rings at ``MAX_ANGLES``.
 _POOL_POINTS = 8 * BLOCK_POINTS
@@ -701,13 +732,11 @@ class GridField:
 
     Rings are evaluated in blocks of at most ``BLOCK_POINTS`` points (half
     that for a closed form, see :func:`_block_rings`) and only each ring's
-    minima are kept, so memory does not grow with ``n_radii`` beyond a few
-    numbers per ring.  The four results are those of one ``np.argmin`` over
-    the whole grid: each ring's first minimiser, then the first ring
-    attaining the least of them, a NaN before any number.  ``pointwise`` is
-    None exactly when min |f| is not above margin_eps (NaN included); the
-    quotient is not formed once |f| has dipped below it.
-    ``rings_evaluated`` counts the rings evaluated.
+    minima are kept, in ``table`` (a :class:`RingTable`, rows as in
+    ``_SCANS``), so memory does not grow with ``n_radii`` beyond a few
+    numbers per ring.  ``pointwise`` is None exactly when min |f| is not
+    above margin_eps (NaN included); the quotient is not formed once |f| has
+    dipped below it.  ``rings_evaluated`` counts the rings evaluated.
 
     One kernel, :meth:`_scan`, takes f, phase Df and the Jacobian of a block
     and records the four minima of each ring; two producers feed it.  For a
@@ -731,19 +760,11 @@ class GridField:
     on every ring.  It evaluates another ring only when one of its bounds
     does not clear that quantity's running minimum; a NaN minimum is cleared
     by none, and the quotient's bound stops counting once pointwise is None.
-    A skipped ring holds no minimum, tie or NaN of any quantity, so the four
-    results, their witnesses and the None rule are those of evaluating every
-    ring, bit for bit."""
+    A skipped ring holds no minimum, tie or NaN of any quantity."""
 
     def __init__(self, m: HarmonicMapSpec, grid: GridSpec, phase: complex = 1.0):
-        self.grid = grid
-        self.phase = phase
-        # Each ring's minima in the order of _SCANS and their first minimisers;
-        # inf on a ring not evaluated.
-        self._low = np.full((4, grid.n_radii), np.inf)
-        self._at = np.zeros((4, grid.n_radii), dtype=np.complex128)
+        self.grid, self.phase = grid, phase
         self._divide = True  # every ring so far has |f| > margin_eps
-        self._rings = 0
         radii, angles = grid_axes(grid)
         series = m.closed_form is None
         if series:
@@ -753,6 +774,7 @@ class GridField:
             rows, step = field_rows(m), _block_rings(grid)
         else:
             bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
+        self.table = t = RingTable(bounds, radii)  # rows in the order of _SCANS
         # One workspace: a series' spectra, which become its fields, then the
         # four values per point, then the points.  It is freed after the scan,
         # not pooled: held between scans, it left the C library's allocation
@@ -777,14 +799,13 @@ class GridField:
             self._scan(i, z, f, d, p, p.view(np.float64)[:n], vals)
 
         def skip(i):  # the rings i whose bounds clear the running minima
-            clear = bounds[:, i] > self._low.min(axis=1)[:, None]  # NaN clears none
+            clear = t.bounds[:, i] > t.low.min(axis=1)[:, None]  # NaN clears none
             clear[_QUOTIENT] |= not self._divide
             return clear.all(axis=0)
 
         first = np.flatnonzero((bounds <= bounds.min(axis=1)[:, None]).any(axis=0))
         walk_rings(first, radii.size, step, scan, skip)
-        q, k = np.arange(4), np.argmin(self._low, axis=1)  # NaN first, then the first ring
-        for (name, sign), low, at in zip(_SCANS, self._low[q, k].tolist(), self._at[q, k].tolist()):
+        for (name, sign), low, at in zip(_SCANS, *(a.tolist() for a in t.least()[:2])):
             setattr(self, name, ScanResult(low, at, low > sign * grid.margin_eps))
         if not self._divide:
             self.pointwise = None
@@ -792,7 +813,7 @@ class GridField:
     @property
     def rings_evaluated(self) -> int:
         """The number of rings the scan evaluated."""
-        return self._rings
+        return int(np.count_nonzero(self.table.evaluated))
 
     def _scan(self, rings, z, f, rot_df, c, b, vals):
         # f and phase Df on the points z of the rings ``rings``, with the
@@ -809,9 +830,10 @@ class GridField:
         np.abs(np.add(f, rot_df, out=c), out=a)
         np.abs(np.subtract(f, rot_df, out=rot_df), out=b)
         np.subtract(a, b, out=a)
-        self._low[:, rings], k = ring_minima(vals[:, :n], self.grid.n_angles)
-        self._at[:, rings] = z[k]
-        self._rings += rings.size
+        t = self.table
+        t.low[:, rings], k = ring_minima(vals[:, :n], self.grid.n_angles)
+        t.at[:, rings] = z[k]
+        t.evaluated[rings] = True
 
     def _scan_closed_form(self, m, rings, z, vals):
         # The evaluators are module names looked up per call, so wrappers set

@@ -441,6 +441,25 @@ class TestCatalog:
         assert emit_map_document(parse_map_document(text)) == text
 
 
+@pytest.mark.parametrize("truncation", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "emit", "koebe"],
+        ["construct", "power-transform", "--lambda", "0.3"],
+        ["construct", "extremal", "--lambda", "0.5", "--x", "2=0.1"],
+    ],
+)
+def test_truncation_below_one_is_a_usage_error(argv, truncation, tmp_path, capsys):
+    # Not the default order, the coefficient indices or a failure exit: a
+    # usage error, and no map written.
+    out_path = tmp_path / "map.json"
+    rc, out, err = run_cli([*argv, "--truncation", truncation, "--out", str(out_path)], capsys)
+    assert rc == 2
+    assert err.startswith("error: --truncation ")
+    assert out == "" and not out_path.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

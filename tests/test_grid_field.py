@@ -401,6 +401,69 @@ def test_affine_maps_evaluate_every_ring():
                 assert got.rings_evaluated == grid.n_radii
 
 
+def test_ring_table_merge_keeps_what_comes_first():
+    radii = np.array([0.1, 0.2, 0.3, 0.4])
+    t = harmonic.RingTable(np.full((1, 4), -np.inf), radii)
+    assert np.all(t.low == np.inf) and np.array_equal(t.at[0], radii)  # the rings' first points
+    assert not t.tag.any() and not t.evaluated.any()
+    i = np.arange(4)
+    t.merge(0, i, np.array([1.0, 2.0, np.nan, 3.0]), 1j * radii, np.full(4, 5))
+    # A tie keeps the value kept, a NaN replaces a number, a number never
+    # replaces a NaN, and a lesser number replaces a greater.
+    t.merge(0, i, np.array([1.0, np.nan, 0.0, 2.5]), 2j * radii, np.full(4, 1))
+    assert np.array_equal(t.low[0], [1.0, np.nan, np.nan, 2.5], equal_nan=True)
+    assert t.at[0].tolist() == [0.1j, 0.4j, 0.3j, 0.8j]
+    assert t.tag[0].tolist() == [5, 1, 5, 1]
+    t.merge(0, i[1:3], np.array([np.nan, -np.inf]), np.array([9j, 9j]), np.array([0, 0]))
+    assert t.at[0].tolist() == [0.1j, 0.4j, 0.3j, 0.8j]  # a NaN keeps the NaN kept
+    assert not t.evaluated.any()  # merging marks no ring
+
+
+def test_ring_table_reads_nan_then_value_then_tag_then_ring():
+    t = harmonic.RingTable(np.zeros((3, 6)), np.linspace(0.1, 0.6, 6))
+    t.low[:] = [[2, 1, 1, 1, 3, 1], [2, np.nan, 1, np.nan, 1, 1], [1, 1, 1, 1, 1, 1]]
+    t.tag[:] = [[0, 4, 2, 2, 0, 3], [0, 3, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]
+    t.at[:] = 1j * np.arange(18).reshape(3, 6)
+
+    def read(*rings):
+        low, at, tag = t.least(*rings)
+        assert low.shape == at.shape == tag.shape == (3,)
+        return low.tolist(), at.tolist(), tag.tolist()
+
+    low, at, tag = read()
+    assert low[0] == 1 and math.isnan(low[1]) and low[2] == 1
+    assert (at, tag) == ([2j, 9j, 12j], [2, 1, 0])  # least tag, then the first ring
+    low, at, tag = read(np.array([1, 4, 5]))
+    assert low[0] == 1 and math.isnan(low[1]) and low[2] == 1
+    assert (at, tag) == ([5j, 7j, 13j], [3, 3, 0])
+    t.tag[:] = 0  # untagged, as a grid scan: the first ring holding the least value
+    low, at, tag = read()
+    assert (at, tag) == ([1j, 7j, 12j], [0, 0, 0])
+
+
+def test_ring_table_evaluated_flags_are_the_rings_scanned(monkeypatch):
+    p = SpiralParams(math.pi / 4)
+    m = random_sufficient_map(np.random.default_rng(7), p, order=64, n_terms=32)
+    grid = GridSpec(n_radii=100, n_angles=256)
+    radii = harmonic.grid_axes(grid)[0]
+    scanned, fields = [], harmonic.ring_fields
+
+    def spy(rows, r, spectrum):
+        scanned.extend(np.searchsorted(radii, r).tolist())
+        return fields(rows, r, spectrum)
+
+    monkeypatch.setattr(harmonic, "ring_fields", spy)
+    got = GridField(m, grid, p.phase)
+    t = got.table
+    assert 0 < got.rings_evaluated == len(scanned) < grid.n_radii
+    assert np.flatnonzero(t.evaluated).tolist() == sorted(scanned)
+    # A ring not evaluated keeps inf at its first point, and is never read.
+    assert np.all(t.low[:, ~t.evaluated] == np.inf)
+    assert np.all(t.at[:, ~t.evaluated] == radii[~t.evaluated])
+    assert np.all(np.isfinite(t.low[:, t.evaluated]))
+    assert not t.tag.any()
+
+
 def swap_bound_sums(monkeypatch, product, table=harmonic._power_table):
     """Make ring_bounds form its sums as ``product(table(r, width), cols)``
     in place of BLAS's product with the kept power table (shape (r.size,
@@ -815,6 +878,47 @@ def test_family_ties_merge_the_first_ring_at_its_place(cut):
     res = family_scan(values, bounds, grid, eps, "den")
     assert evaluated[0] == [2]
     assert (res.min_value, res.witness, res.witness_eps) == (0.0, complex(radii[cut]), eps[0])
+
+
+@pytest.mark.parametrize("n_angles", [8, BLOCK_POINTS])  # every eps in one chunk, one per chunk
+@pytest.mark.parametrize("near_zero", [False, True])
+@pytest.mark.parametrize("first_ring", [None, 1, 3])
+def test_family_ties_across_rings_take_the_least_eps_first(first_ring, near_zero, n_angles):
+    # Re(num/den): the least value 0 ties on ring 1, where only eps 2 reaches
+    # it, and on the later ring 3, where eps 0 does.  |den|: it is below the
+    # margin on ring 1 first at eps 2 (0) and on ring 3 first at eps 0
+    # (1e-12), then at eps 1 (0).  The eps-major full scan meets eps 0 first
+    # either way, so the witness is ring 3's point with eps 0, whichever ring
+    # the walk evaluates first (the lowest bound).
+    grid = GridSpec(r_min=0.1, r_max=0.9, n_radii=5, n_angles=n_angles)
+    radii, angles = harmonic.grid_axes(grid)
+    eps = unimodular_samples(3)
+    low = np.ones((3, 5, n_angles), dtype=np.complex128)
+    low[2, 1, 2] = low[0, 3, 5] = 0
+    if near_zero:
+        low[0, 3, 5], low[1, 3, 6] = 1e-12, 0
+
+    def values(k, r):
+        v = low[k][:, np.searchsorted(radii, r)].reshape(k.size, -1)
+        one = np.ones(v.shape, dtype=np.complex128)
+        return (v.copy(), one) if near_zero else (one, v.copy())
+
+    def bounds(k, r):
+        den = np.full((k.size, r.size), -np.inf if near_zero else 0.5)
+        if first_ring is None:
+            return den, np.full(den.shape, -np.inf)
+        lowest = np.where(np.searchsorted(radii, r) == first_ring, -1.0, 0.0)
+        return den, np.broadcast_to(lowest, den.shape)
+
+    z = radii[3] * angles[5]
+    if near_zero:
+        with pytest.raises(NearZeroError) as err:
+            family_scan(values, bounds, grid, eps, "den")
+        want = f"|den| = 1.000e-12 below margin at eps = {complex(eps[0])}, z = {complex(z)}"
+        assert str(err.value) == want
+    else:
+        res = family_scan(values, bounds, grid, eps, "den")
+        assert (res.min_value, res.witness, res.witness_eps) == (0.0, z, eps[0])
 
 
 def test_family_peak_memory_is_flat_in_eps_and_radii():
