@@ -520,6 +520,12 @@ def _half_plane_closed_form() -> ClosedForm:
     )
 
 
+def _or_default(order: int | None, default: int) -> int:
+    """``order``, or the entry's ``default`` when it is None: an order of 0
+    is refused like any other below 1, not taken for the default."""
+    return default if order is None else order
+
+
 def catalog(
     name: str,
     p: SpiralParams | None = None,
@@ -536,11 +542,11 @@ def catalog(
     """
     key = name.lower()
     if key == "identity":
-        return identity_map(order or 1)
+        return identity_map(_or_default(order, 1))
     if key == "f1":
         al = _require_alpha(name, alpha)
         return HarmonicMapSpec(
-            a=[], b=[np.conj(al)], truncation_order=order or 1,
+            a=[], b=[np.conj(al)], truncation_order=_or_default(order, 1),
             signed_form=signed_shape([], [np.conj(al)]),
         )
     if key == "f2":
@@ -548,7 +554,7 @@ def catalog(
         wt = weight_table(_require_angle(name, p), 2)
         b2 = np.conj(al) * wt.necessary_ratios()[2]
         return HarmonicMapSpec(
-            a=[], b=[0.0, b2], truncation_order=order or 2,
+            a=[], b=[0.0, b2], truncation_order=_or_default(order, 2),
             signed_form=signed_shape([], [0.0, b2]),
         )
     if key == "f3":
@@ -557,10 +563,10 @@ def catalog(
         ratios = wt.necessary_ratios()
         b = [np.conj(al) * ratios[1], 0.0, (1.0 - abs(al)) * ratios[3]]
         return HarmonicMapSpec(
-            a=[], b=b, truncation_order=order or 3, signed_form=signed_shape([], b)
+            a=[], b=b, truncation_order=_or_default(order, 3), signed_form=signed_shape([], b)
         )
     if key == "f4":
-        n = order or DEFAULT_ORDER
+        n = _or_default(order, DEFAULT_ORDER)
         tail = pow_series(PowerSeries([1.0, -1.0], order=n - 1), 1j - 1.0)
         return HarmonicMapSpec(
             a=tail.coeffs[1:], b=[], truncation_order=n,
@@ -573,27 +579,29 @@ def catalog(
         wt = weight_table(_require_angle(name, p), 2)
         ratios = wt.necessary_ratios()
         b = [al.real * ratios[1], (1.0 - al.real) * ratios[2]]
-        return HarmonicMapSpec(a=[], b=b, truncation_order=order or 2, signed_form=True)
+        return HarmonicMapSpec(
+            a=[], b=b, truncation_order=_or_default(order, 2), signed_form=True
+        )
     if key == "f6":
         wt = weight_table(_require_angle(name, p), 1)
         # b_1 < 0: a rotation of f7, admitted into the signed form because
         # every gated check consumes magnitudes only.
         return HarmonicMapSpec(
-            a=[], b=[-wt.b_over_a1()], truncation_order=order or 1, signed_form=True
+            a=[], b=[-wt.b_over_a1()], truncation_order=_or_default(order, 1), signed_form=True
         )
     if key == "f7":
         wt = weight_table(_require_angle(name, p), 1)
         return HarmonicMapSpec(
-            a=[], b=[wt.b_over_a1()], truncation_order=order or 1, signed_form=True
+            a=[], b=[wt.b_over_a1()], truncation_order=_or_default(order, 1), signed_form=True
         )
     if key == "koebe":
-        n = order or DEFAULT_ORDER
+        n = _or_default(order, DEFAULT_ORDER)
         return HarmonicMapSpec(
             a=np.arange(2, n + 1, dtype=np.float64), b=[], truncation_order=n,
             signed_form=False, closed_form=_koebe_closed_form(),
         )
     if key == "harmonic_koebe":
-        n = order or DEFAULT_ORDER
+        n = _or_default(order, DEFAULT_ORDER)
         idx = np.arange(2, n + 1, dtype=np.float64)
         a = (2 * idx + 1) * (idx + 1) / 6.0
         b_idx = np.arange(1, n + 1, dtype=np.float64)
@@ -603,7 +611,7 @@ def catalog(
             closed_form=_harmonic_koebe_closed_form(),
         )
     if key == "half_plane":
-        n = order or DEFAULT_ORDER
+        n = _or_default(order, DEFAULT_ORDER)
         idx = np.arange(2, n + 1, dtype=np.float64)
         a = (idx + 1) / 2.0
         b_idx = np.arange(1, n + 1, dtype=np.float64)

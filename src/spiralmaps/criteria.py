@@ -345,7 +345,8 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
     rounding allowance: at most every computed value, -inf (or NaN) for none.
 
     The scan walks the rings (:func:`walk_rings`), each for every eps in
-    chunks of about ``BLOCK_POINTS`` values: first the rings of the lowest
+    chunks of fewer than ``BLOCK_POINTS`` values, or one ring of a chunk's
+    members (:func:`_block_rings`): first the rings of the lowest
     quotient bound over every eps, ties included, then the others where
     those bounds do not clear margin_eps or the least value found so far.
     It forms the quotient only for members whose |den| is above margin_eps
@@ -394,10 +395,10 @@ def family_scan(values, bounds, grid: GridSpec, eps: np.ndarray, what: str) -> E
 
     seed = np.flatnonzero(lowest[1] == lowest[1].min())
     # A pooled workspace for the |den| of a call: at most chunk members on a
-    # block of rings of about BLOCK_POINTS // chunk values, or one ring.
+    # block of fewer than BLOCK_POINTS // chunk values, or one ring.
     with workspace(-(-max(BLOCK_POINTS, n_angles) // 2)) as spare:
         mags = spare.view(np.float64)
-        walk_rings(seed, radii.size, _block_rings(grid, max(chunk, 2)), scan, skip)
+        walk_rings(seed, radii.size, _block_rings(grid, chunk), scan, skip)
     i = np.flatnonzero(table.low[0] != np.inf)  # the rings with a near-zero eps
     if i.size:
         v, z, e = (a[0] for a in table.least(i[table.tag[0, i] == table.tag[0, i].min()]))
@@ -435,9 +436,7 @@ def epsilon_starlike_check(
     rows = np.stack([h, g, n * h, n * g])  # h, g, z h', z g'
     size = ((1 + n) * (np.abs(h) + np.abs(g)))[None, 1:]  # over P = (h + eps g) / z
 
-    def fields(r):
-        # On at most BLOCK_POINTS // 2 points (or one ring): a closed form
-        # gives there the bits it gives on one ring (see _block_rings).
+    def fields(r):  # on a block of _block_rings, where a closed form has its ring-by-ring bits
         if m.closed_form is None:
             return ring_values(rows, r, grid.n_angles, out=spectra[: 4 * r.size * grid.n_angles])
         z = (r[:, None] * angles).ravel()
@@ -471,7 +470,7 @@ def epsilon_starlike_check(
         none = out == -np.inf
         i = np.flatnonzero(none.any(axis=(0, 1)))
         at = np.searchsorted(radii, r[i])  # r holds grid radii
-        new, step = at[~done[at]], _block_rings(grid, 2)
+        new, step = at[~done[at]], _block_rings(grid)
         for s in range(0, new.size, step):
             j = new[s : s + step]
             hv, gv, zdh, zdg = (v.reshape(j.size, -1) for v in fields(radii[j]))
@@ -486,8 +485,8 @@ def epsilon_starlike_check(
 
     # One pooled workspace: the members of every call (family_scan asks for
     # at most BLOCK_POINTS values at a time, or one ring), then the four
-    # fields of at most BLOCK_POINTS // 2 points, or one ring.
-    members, points = 2 * max(BLOCK_POINTS, grid.n_angles), max(BLOCK_POINTS // 2, grid.n_angles)
+    # fields of a block of rings.
+    members, points = 2 * max(BLOCK_POINTS, grid.n_angles), max(BLOCK_POINTS - 1, grid.n_angles)
     with workspace(members + 4 * points) as buf:
         work, spectra = buf[:members], buf[members:]
         return family_scan(values, bounds, grid, eps, "h + eps g")

@@ -47,7 +47,8 @@ from .series import DEFAULT_ORDER, PowerSeries, derivative_coefficients, horner
 #: Tolerance used when validating the sign-restricted coefficient shape.
 SIGN_SHAPE_TOL = 1e-12
 
-#: Points per block of rings in :class:`GridField` (at least one ring).
+#: Complex values (256 KiB) from which numpy computes on a temporary in
+#: place: every block of a ring scan holds fewer, or one ring (:func:`_block_rings`).
 BLOCK_POINTS = 16384
 
 #: Cap on n_radii * n_angles: 20x the largest grid the tests and benchmark
@@ -335,16 +336,15 @@ def pair_d_operator(h: PowerSeries, g: PowerSeries, z):
 
 
 def _block_rings(grid: GridSpec, width: int = 1) -> int:
-    """Rings per block: about ``BLOCK_POINTS // width`` points, at least one
-    ring, at most the whole grid.
+    """Rings per block of ``width`` values per point: fewer than
+    ``BLOCK_POINTS`` values, or else one ring, and at most the whole grid.
 
-    Closed forms are evaluated with ``width`` 2 or more, for one reason:
     numpy computes an operator on a temporary of ``BLOCK_POINTS`` complex
     values (256 KiB) or more in place, swapping the operands of a complex
     product, which then rounds differently (FMA).  Below that size each
-    point gets the bits that ring-by-ring evaluation gives it, whatever the
-    grid or block."""
-    return max(1, min(grid.n_radii, BLOCK_POINTS // (width * grid.n_angles)))
+    point of a closed form gets the bits that ring-by-ring evaluation gives
+    it, whatever the grid or block."""
+    return max(1, min(grid.n_radii, (BLOCK_POINTS - 1) // (width * grid.n_angles)))
 
 
 def walk_rings(first, count: int, step: int, scan, skip) -> None:
@@ -498,7 +498,7 @@ def ring_values(rows, radii, n_angles: int, out=None) -> np.ndarray:
 
     On the ring |z| = r a series is the inverse DFT of c_n r^n with n folded
     mod n_angles, so one batched FFT evaluates every row on every ring.  The
-    powers r^n come from :func:`_ring_powers`.  The spectrum is written into
+    powers r^n come from :func:`_powers`.  The spectrum is written into
     ``out``, a contiguous complex array of S R n_angles values whose contents
     are never read (a fresh array by default), and the inverse FFTs are
     copied back over it: the result is a view of ``out``, the same bytes
@@ -513,7 +513,7 @@ def ring_values(rows, radii, n_angles: int, out=None) -> np.ndarray:
     else:
         spectrum = out.reshape(shape)
         spectrum.fill(0)
-    _fold(spectrum, rows, _ring_powers(radii, rows.shape[1]).T)
+    _fold(spectrum, rows, _powers(radii, rows.shape[1]))
     _inverse_fft(spectrum.reshape(-1, n_angles))
     return spectrum.reshape(rows.shape[0], -1)
 
@@ -556,7 +556,9 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     / r^2 would carry the rounding of the FFT of z.
     """
     plus, minus_f, minus_d = rows
-    powers = radii[:, None] ** np.arange(-1, plus.shape[1] + 1)  # r^-1 .. r^(N+1)
+    # r^-1 .. r^(N+1); r^-1 scales only the zero n = 0 term, so 0 serves.
+    powers = np.zeros((radii.size, plus.shape[1] + 2))
+    powers[:, 1:] = _powers(radii, plus.shape[1] + 1)
     spectrum.fill(0)
     back = spectrum[..., ::-1]
     _fold(spectrum, plus, powers[:, 1:])
@@ -566,17 +568,21 @@ def ring_fields(rows, radii, spectrum: np.ndarray) -> np.ndarray:
     return spectrum.reshape(3, -1)
 
 
-def _ring_powers(r, width: int) -> np.ndarray:
-    """r^j for j < ``width`` on each radius r: shape (width, r.size).
+#: Step s of :func:`_powers`: entry s k + i is r^(s k) r^i.
+_POWER_STEP = 32
 
-    Entry j = s k + i, with i < s and s about sqrt(width), is r^(s k) r^i:
-    two small power tables and one product per entry, in place of a power
-    per entry.  The product adds at most one rounding, a few ulps in all,
-    and the entries j < s, r^0 = 1 among them, are those of ``r ** j``."""
-    s = math.isqrt(width - 1) + 1
-    low = r ** np.arange(s)[:, None]
-    high = r ** np.arange(0, width, s)[:, None, None]
-    return (high * low).reshape(-1, r.size)[:width]
+
+def _powers(r, width: int) -> np.ndarray:
+    """r^j for j < ``width`` on each radius r: shape (r.size, width).
+
+    Entry j = s k + i, with i < s = ``_POWER_STEP``, is r^(s k) r^i: two
+    small tables of ``r ** j`` and one product per entry, in place of a
+    power per entry.  The product adds one rounding, a few ulps in all, no
+    entry depends on ``width``, and the entries j < s, r^0 = 1 among them,
+    are those of ``r ** j``."""
+    low = r[:, None, None] ** np.arange(min(_POWER_STEP, width))
+    high = r[:, None, None] ** np.arange(0, width, _POWER_STEP)[:, None]
+    return (high * low).reshape(r.size, high.shape[1] * low.shape[2])[:, :width]
 
 
 #: The power table of the last radii :func:`_power_table` kept: (the radii's
@@ -585,26 +591,15 @@ _last_table = [None]
 
 
 def _power_table(r, width: int) -> np.ndarray:
-    """r^j for j < ``width`` on each radius r: shape (r.size, width),
-    read-only.
-
-    Entry j < 2n is r^n times entry j - n, for n = 1, 2, 4, ... and r^n from
-    ``r ** n``: a few ulps from ``r ** j``, two roundings per set bit of j,
-    in one product per entry.  No entry depends on ``width``, and r^0 is
-    exactly 1.  The last radii's table is kept, so that the bounds of every
-    scan of one grid share it: a call no wider than the kept table slices it,
-    a wider one rebuilds it."""
+    """The :func:`_powers` of the radii ``r``, read-only, for
+    :func:`ring_bounds` alone.  The last radii's table is kept, so that the
+    bounds of every scan of one grid share it: a call no wider than the kept
+    table slices it, a wider one rebuilds it."""
     key = r.tobytes()
     last = _last_table[0]
     if last is not None and last[0] == key and last[1].shape[1] >= width:
         return last[1][:, :width]
-    table = np.empty((r.size, width))
-    table[:, :1] = 1
-    n = 1
-    while n < width:
-        k = min(n, width - n)
-        np.multiply(table[:, :k], (r**n)[:, None], out=table[:, n : n + k])
-        n *= 2
+    table = _powers(r, width)
     table.flags.writeable = False
     _last_table[0] = key, table  # one tuple, so a thread reads a whole entry
     return table
@@ -649,8 +644,8 @@ def ring_bounds(mag, r, phase: complex = 1.0, conj=None, size=None, count: int =
     ``_POOL_POINTS`` entries (1 MiB) runs in blocks of rings within it, so
     memory does not grow with rings times width.  The product rounds each
     sum of W terms by at most about W ulps of the sum of their magnitudes,
-    and the table entries carry a few ulps: far inside the allowance of
-    about 4,500 ulps.
+    and the table entries (:func:`_powers`) carry at most 3 ulps: far
+    inside the allowance of about 4,500 ulps.
     A sum that does not depend on r comes out the same on every ring, as
     r^0 is exactly 1 and the other terms are exact zeros.
     """
@@ -730,13 +725,13 @@ class GridField:
     """The |f|, Jacobian, spiral quotient Re(phase Df/f) and two-modulus
     margin |f + phase Df| - |f - phase Df| scans of one map on one grid.
 
-    Rings are evaluated in blocks of at most ``BLOCK_POINTS`` points (half
-    that for a closed form, see :func:`_block_rings`) and only each ring's
-    minima are kept, in ``table`` (a :class:`RingTable`, rows as in
-    ``_SCANS``), so memory does not grow with ``n_radii`` beyond a few
-    numbers per ring.  ``pointwise`` is None exactly when min |f| is not
-    above margin_eps (NaN included); the quotient is not formed once |f| has
-    dipped below it.  ``rings_evaluated`` counts the rings evaluated.
+    Rings are evaluated in blocks of fewer than ``BLOCK_POINTS`` points, or
+    one ring (:func:`_block_rings`), and only each ring's minima are kept,
+    in ``table`` (a :class:`RingTable`, rows as in ``_SCANS``), so memory
+    does not grow with ``n_radii`` beyond a few numbers per ring.
+    ``pointwise`` is None exactly when min |f| is not above margin_eps (NaN
+    included); the quotient is not formed once |f| has dipped below it.
+    ``rings_evaluated`` counts the rings evaluated.
 
     One kernel, :meth:`_scan`, takes f, phase Df and the Jacobian of a block
     and records the four minima of each ring; two producers feed it.  For a
@@ -771,9 +766,10 @@ class GridField:
             h = np.ones((1, m.truncation_order))  # h = z P, g = z Q
             np.abs(m.a, out=h[0, 1:])
             bounds = ring_bounds(h, radii, phase, np.abs(m.b)[None])[:, 0]
-            rows, step = field_rows(m), _block_rings(grid)
+            rows = field_rows(m)
         else:
-            bounds, step = np.full((4, radii.size), -np.inf), _block_rings(grid, 2)
+            bounds = np.full((4, radii.size), -np.inf)
+        step = _block_rings(grid)
         self.table = t = RingTable(bounds, radii)  # rows in the order of _SCANS
         # One workspace: a series' spectra, which become its fields, then the
         # four values per point, then the points.  It is freed after the scan,

@@ -407,6 +407,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog("f5", p=PI4, alpha=-0.5)
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_order_below_one_is_refused(self, name):
+        # 0 is an order, not a request for the entry's default.
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                catalog(name, p=PI4, alpha=0.5, order=order)
+
     def test_f1_coefficient(self):
         m = catalog("f1", alpha=-0.5)
         assert m.b_coeff(1) == -0.5

@@ -551,6 +551,28 @@ def test_power_table_keeps_only_the_last_radii():
     assert np.array_equal(narrow[:, :2], np.stack([np.ones(5), a], axis=1))
 
 
+def test_powers_do_not_depend_on_the_width():
+    # Entry s k + i is r^(s k) r^i whatever the width asked, and the entries
+    # below the step, r^0 = 1 among them, are those of r ** j.
+    r = np.linspace(1e-3, 0.9995, 50)
+    wide = harmonic._powers(r, MAX_ORDER + 1)
+    for width in (1, 2, 31, 32, 33, 64, 257, 1000):
+        assert np.array_equal(harmonic._powers(r, width), wide[:, :width])
+    s = harmonic._POWER_STEP
+    assert np.array_equal(wide[:, :s], r[:, None] ** np.arange(s))
+    assert np.all(wide[:, 0] == 1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="needs a long double wider than a double for its reference")
+def test_powers_are_within_three_ulps_up_to_the_largest_order():
+    r = np.concatenate([np.linspace(1e-3, 0.9995, 60), [0.5, 0.99, 1 - 2**-40]])
+    got = harmonic._powers(r, MAX_ORDER + 1)
+    want = np.longdouble(r)[:, None] ** np.arange(MAX_ORDER + 1)
+    ulps = np.abs(got - want) / np.spacing(want.astype(np.float64))
+    assert ulps.max() <= 3, ulps.max()
+
+
 def old_bound_table(r, width):
     # The two-level table r^(s k) r^i, s about sqrt(width), that the einsum
     # path of ring_bounds built per block of rings.
@@ -1221,3 +1243,28 @@ def test_scans_do_not_depend_on_the_block_size(
     finally:
         harmonic.BLOCK_POINTS, criteria.BLOCK_POINTS = saved
     assert got == want
+
+
+@pytest.mark.parametrize("n_radii, n_angles", [(40, 256), (100, 256), (9, 2048), (2, 4 * BLOCK_POINTS)])
+def test_closed_forms_are_evaluated_below_numpy_in_place_size(monkeypatch, n_radii, n_angles):
+    # numpy computes on a temporary of BLOCK_POINTS complex values or more in
+    # place, with the operands of a complex product swapped: every closed-form
+    # evaluation of a scan holds fewer points than that, or one ring.
+    sizes, h_values = [], harmonic.h_values
+
+    def spy(m, z):
+        sizes.append(np.size(z))
+        return h_values(m, z)
+
+    monkeypatch.setattr(harmonic, "h_values", spy)
+    monkeypatch.setattr(criteria, "h_values", spy)
+    grid = GridSpec(n_radii=n_radii, n_angles=n_angles)
+    for name in ("koebe", "harmonic_koebe"):
+        m = catalog(name)
+        sizes.clear()
+        GridField(m, grid)
+        assert sum(sizes) == grid.n_radii * n_angles  # every ring, once
+        if grid == GridSpec():  # the default grid in one block
+            assert sizes == [grid.n_radii * n_angles]
+        eps_outcome(lambda: epsilon_starlike_check(m, grid, n_eps=8))
+        assert all(n < BLOCK_POINTS or n == n_angles for n in sizes), sizes
