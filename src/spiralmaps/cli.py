@@ -107,8 +107,7 @@ def report_lines(report: VerificationReport) -> list[str]:
             f"inequality_lhs = {format_number(lhs)}",
             f"inequality_rhs = {format_number(rhs)}",
         ]
-    if report.margin is not None:
-        lines += _scan_lines("margin", "min", report.margin)
+    lines += _scan_lines("margin", "min", report.margin)
     lines.append(f"growth_applicable = {_fmt_bool(report.growth is not None)}")
     if report.growth is not None:
         lines += [
@@ -275,7 +274,7 @@ def _cmd_construct(args) -> int:
         m = HarmonicMapSpec(
             a=h.coeffs[2:], b=[], truncation_order=h.order, signed_form=False
         )
-    elif args.builder == "f-epsilon":
+    else:  # f-epsilon
         if not 1 <= args.n_eps <= MAX_EPS_SAMPLES:
             raise argparse.ArgumentTypeError(f"--n-eps must lie in 1..{MAX_EPS_SAMPLES}")
         F, p_file = load_map_file(args.from_file)
@@ -297,8 +296,6 @@ def _cmd_construct(args) -> int:
         m = multiplier_transfer(
             F, MultiplierSequence.max_allowed(p, F.truncation_order), p
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise MapFileError(f"unknown builder {args.builder!r}")
 
     doc = document_from_map(m, p)
     _write_output([emit_map_document(doc)], args.out)
@@ -343,26 +340,36 @@ def _cmd_catalog(args) -> int:
         return _USAGE_EXIT
     lam = args.lam if args.lam is not None else 0.0
     p = SpiralParams(lam)
-    alpha = complex(args.alpha_re, args.alpha_im) if args.alpha_re is not None else None
-    m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
-    params: dict = {}
-    if "alpha" in CATALOG_PARAMS[name]:
-        params["alpha"] = (
-            [alpha.real, alpha.imag] if alpha is not None and alpha.imag else
-            (alpha.real if alpha is not None else None)
-        )
+    alpha, params = None, {}
+    if args.alpha_re is not None:
+        if "alpha" not in CATALOG_PARAMS[name]:
+            raise argparse.ArgumentTypeError(f"catalog entry {name!r} takes no --alpha")
+        alpha = complex(args.alpha_re, args.alpha_im)
+        params["alpha"] = [alpha.real, alpha.imag] if alpha.imag else alpha.real
+    try:
+        m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
+    except ValueError as exc:  # a missing alpha, or an alpha or truncation the entry refuses
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     doc = MapDocument(
         lam=lam,
         truncation=m.truncation_order,
         signed_form=m.signed_form,
         catalog_name=name,
-        catalog_params={k: v for k, v in params.items() if v is not None},
+        catalog_params=params,
     )
     _write_output([emit_map_document(doc)], args.out)
     return 0
 
 
 # ------------------------------------------------------------------- parser
+
+
+def _grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """--grid and --eps, whose defaults give ``GridSpec()``."""
+    g = GridSpec()
+    grid = f"{g.r_min!r},{g.r_max!r},{g.n_radii},{g.n_angles}"
+    parser.add_argument("--grid", default=grid, help="r_min,r_max,n_r,n_theta")
+    parser.add_argument("--eps", type=float, default=g.margin_eps, help="strict-inequality margin")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run every applicable check on a map file")
     pv.add_argument("file")
-    pv.add_argument("--grid", default="0.001,0.99,40,256", help="r_min,r_max,n_r,n_theta")
-    pv.add_argument("--eps", type=float, default=1e-9, help="strict-inequality margin")
+    _grid_arguments(pv)
     pv.set_defaults(func=_cmd_verify)
 
     pw = sub.add_parser("weights", help="print the weight table for one angle")
@@ -401,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--g", default="koebe", help="transform input: catalog name or file")
     pc.add_argument("--orientation", type=int, choices=[-1, 1], default=1)
     pc.add_argument("--n-eps", type=int, default=64)
-    pc.add_argument("--grid", default="0.001,0.99,40,256")
-    pc.add_argument("--eps", type=float, default=1e-9)
+    _grid_arguments(pc)
     pc.add_argument("--out", default=None, help="output path (default stdout)")
     pc.set_defaults(func=_cmd_construct)
 

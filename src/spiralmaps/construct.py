@@ -135,7 +135,7 @@ def convex_combination(
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    n_max = max(w.n_max, 1)
+    n_max = w.n_max
     wt = weight_table(p, n_max)
     ratios = wt.necessary_ratios()
     a = sign * w.X[1:] * ratios[2 : n_max + 1]
@@ -177,11 +177,10 @@ def recombine(w: CombinationWeights, p: SpiralParams) -> HarmonicMapSpec:
     """Inverse of :func:`decompose`: basis h_n = z - (A_n/B) z^n,
     g_n = z + (A_n/B) conj(z^n), identity share on n = 1."""
     n_max = w.n_max
-    wt = weight_table(p, max(n_max, 1))
-    ratios = wt.sufficient_ratios()  # A_n/B
+    ratios = weight_table(p, n_max).sufficient_ratios()  # A_n/B
     a = -w.X[1:] * ratios[2 : n_max + 1]
     b = w.Y * ratios[1 : n_max + 1]
-    return HarmonicMapSpec(a=a, b=b, truncation_order=max(n_max, 1), signed_form=True)
+    return HarmonicMapSpec(a=a, b=b, truncation_order=n_max, signed_form=True)
 
 
 # ----------------------------------------------------------- multiplier moves
@@ -347,22 +346,22 @@ def transform_identity_defect(
     g: PowerSeries,
     p: SpiralParams,
     grid: GridSpec = GridSpec(),
-    orientation: int = 1,
 ) -> float:
     """Consistency defect of the power transform on a grid.
 
     Builds h from g (or reuses it when the last transform built was that of
     the same g and exponent), forms both logarithmic-derivative ratios as
-    series, and returns max |Re(e^{-i s lam} z h'/h) - cos(lam) Re(z g'/g)|
-    over the grid (s = orientation).  The identity is exact for the
-    transform, so the defect measures only the numerical consistency of the
-    series exp/log/division stack.  As cos(lam) is real, the difference is
-    Re of the one series e^{-i s lam} z h'/h - cos(lam) z g'/g, which is
-    evaluated ring block by ring block in a pooled workspace.
+    series, and returns max |Re(e^{-i lam} z h'/h) - cos(lam) Re(z g'/g)|
+    over the grid, for the transform of the default orientation.  The
+    identity is exact for the transform, so the defect measures only the
+    numerical consistency of the series exp/log/division stack.  As cos(lam)
+    is real, the difference is Re of the one series e^{-i lam} z h'/h -
+    cos(lam) z g'/g, which is evaluated ring block by ring block in a pooled
+    workspace.
     """
-    h = spirallike_power_transform(g, p, orientation=orientation, probe=False)
-    rot = np.exp(-1j * orientation * p.lam)
-    row = rot * log_derivative_ratio(h).coeffs - math.cos(p.lam) * log_derivative_ratio(g).coeffs
+    h = spirallike_power_transform(g, p, probe=False)
+    row = p.phase * log_derivative_ratio(h).coeffs
+    row -= math.cos(p.lam) * log_derivative_ratio(g).coeffs
     radii, _ = grid_axes(grid)
     defect, step = 0.0, _block_rings(grid)
     with workspace(step * grid.n_angles) as work:
@@ -450,11 +449,11 @@ def _require_angle(name: str, p: SpiralParams | None) -> SpiralParams:
     return p
 
 
-def _require_alpha(name: str, alpha, open_unit: bool = True) -> complex:
+def _require_alpha(name: str, alpha) -> complex:
     if alpha is None:
         raise ValueError(f"catalog entry {name!r} needs the parameter alpha")
     al = complex(alpha)
-    if open_unit and not abs(al) < 1.0:
+    if not abs(al) < 1.0:
         raise ValueError(f"alpha must lie in the open unit disk, got {al}")
     return al
 
@@ -659,13 +658,12 @@ def random_sufficient_map(
     order: int = 8,
     n_terms: int = 6,
     budget: float | None = None,
-    phases: bool = True,
 ) -> HarmonicMapSpec:
     """Random map passing the sufficient test with sum exactly ``budget``.
 
     Draws nonnegative extremal-family weights summing to the budget
-    (default: uniform in (0.05, 0.98)), splits them across random analytic
-    and co-analytic indices, and randomizes phases when the class permits.
+    (default: uniform in (0.05, 0.98)), gives each a uniformly random phase,
+    and splits them across random analytic and co-analytic indices.
     """
     if budget is None:
         budget = float(rng.uniform(0.05, 0.98))
@@ -675,7 +673,7 @@ def random_sufficient_map(
     x = np.zeros(max(order - 1, 0), dtype=np.complex128)  # indices n = 2..order
     y = np.zeros(order, dtype=np.complex128)  # indices n = 1..order
     for mag in mags:
-        phase = np.exp(2j * np.pi * rng.random()) if phases else 1.0
+        phase = np.exp(2j * np.pi * rng.random())
         if rng.random() < 0.5 and order >= 2:
             x[rng.integers(0, order - 1)] += mag * phase
         else:
@@ -690,16 +688,14 @@ def random_signed_map(
     p: SpiralParams,
     order: int = 8,
     n_terms: int = 6,
-    budget: float | None = None,
 ) -> HarmonicMapSpec:
-    """Random sign-restricted map passing the sufficient test.
+    """Random sign-restricted map passing the sufficient test, with sum
+    uniform in (0.05, 0.98).
 
     Analytic-part weights enter negatively and co-analytic ones
     nonnegatively, which is the whole sign freedom the class permits.
     """
-    if budget is None:
-        budget = float(rng.uniform(0.05, 0.98))
-    mags = _random_budget(rng, n_terms, budget)
+    mags = _random_budget(rng, n_terms, float(rng.uniform(0.05, 0.98)))
     x = np.zeros(max(order - 1, 0), dtype=np.float64)
     y = np.zeros(order, dtype=np.float64)
     for mag in mags:
@@ -714,19 +710,14 @@ def random_starlike_budget_map(
     rng: np.random.Generator,
     order: int = 8,
     n_terms: int = 6,
-    budget: float | None = None,
 ) -> HarmonicMapSpec:
     """Random sign-restricted map inside the n-weighted budget.
 
-    The tail budget sum n(|a_n| + |b_n|) is drawn at most 1 so the full
-    n-weighted sum, counting the unit leading coefficient, stays <= 2.
-    Suitable as multiplier-transfer input.
+    The tail budget sum n(|a_n| + |b_n|) is drawn uniform in (0.05, 0.98),
+    so the full n-weighted sum, counting the unit leading coefficient, stays
+    <= 2.  Suitable as multiplier-transfer input.
     """
-    if budget is None:
-        budget = float(rng.uniform(0.05, 0.98))
-    if not 0.0 <= budget <= 1.0:
-        raise ValueError("budget must lie in [0, 1]")
-    weights = _random_budget(rng, n_terms, budget)
+    weights = _random_budget(rng, n_terms, float(rng.uniform(0.05, 0.98)))
     a = np.zeros(max(order - 1, 0), dtype=np.float64)
     b = np.zeros(order, dtype=np.float64)
     for w in weights:

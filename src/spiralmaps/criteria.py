@@ -91,11 +91,6 @@ class WeightTable:
 
     A: np.ndarray
     B: float
-    lam: float
-
-    @property
-    def n_max(self) -> int:
-        return self.A.size - 1
 
     def sufficient_ratios(self) -> np.ndarray:
         """A_n/B for n = 0..n_max (entry 0 is NaN)."""
@@ -118,7 +113,7 @@ def weight_table(p: SpiralParams, n_max: int) -> WeightTable:
     if n_max < 1:
         raise ValueError("weight table needs n_max >= 1")
     a, b = _weights(p.lam, n_max)
-    return WeightTable(A=a, B=b, lam=p.lam)
+    return WeightTable(A=a, B=b)
 
 
 @functools.lru_cache(maxsize=1)
@@ -141,6 +136,11 @@ class CheckResult:
     passed: bool
 
 
+def _budget_result(total: float, bound: float) -> CheckResult:
+    """A coefficient sum against its bound: passes when total <= bound + PASS_MARGIN."""
+    return CheckResult(total, total <= bound + PASS_MARGIN)
+
+
 def _tail_magnitudes(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     na = np.arange(2, m.truncation_order + 1)
     nb = np.arange(1, m.truncation_order + 1)
@@ -153,7 +153,7 @@ def _weighted_sum(m: HarmonicMapSpec, weights: np.ndarray) -> float:
     return float(np.dot(weights[na], amag) + np.dot(weights[nb], bmag))
 
 
-def silverman_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> CheckResult:
+def silverman_check(m: HarmonicMapSpec) -> CheckResult:
     """n-weighted coefficient budget: 1 + sum n|a_n| + sum n|b_n| <= 2.
 
     The leading 1 counts the fixed unit coefficient of h.  Sufficient for
@@ -162,21 +162,17 @@ def silverman_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> CheckResult
     is reported at the truncation order and fails at a finite stage.
     """
     total = 1.0 + _weighted_sum(m, np.arange(m.truncation_order + 1))
-    return CheckResult(total, total <= 2.0 + tol)
+    return _budget_result(total, 2.0)
 
 
-def sufficient_check(
-    m: HarmonicMapSpec, p: SpiralParams, tol: float = PASS_MARGIN
-) -> CheckResult:
+def sufficient_check(m: HarmonicMapSpec, p: SpiralParams) -> CheckResult:
     """(A_n/B)-weighted coefficient sum; <= 1 certifies hereditary
     spirallikeness at this angle (sums truncated at the map's order)."""
     total = _weighted_sum(m, weight_table(p, m.truncation_order).sufficient_ratios())
-    return CheckResult(total, total <= 1.0 + tol)
+    return _budget_result(total, 1.0)
 
 
-def necessary_weighted_check(
-    m: HarmonicMapSpec, p: SpiralParams, tol: float = PASS_MARGIN
-) -> CheckResult:
+def necessary_weighted_check(m: HarmonicMapSpec, p: SpiralParams) -> CheckResult:
     """(B/A_n)-weighted sum; every sign-restricted hereditarily spirallike
     map satisfies <= 1.  Only asserted on the sign-restricted class."""
     if not m.signed_form:
@@ -184,10 +180,10 @@ def necessary_weighted_check(
             "the weighted necessary condition is only asserted on sign-restricted maps"
         )
     total = _weighted_sum(m, weight_table(p, m.truncation_order).necessary_ratios())
-    return CheckResult(total, total <= 1.0 + tol)
+    return _budget_result(total, 1.0)
 
 
-def necessary_sharp_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> CheckResult:
+def necessary_sharp_check(m: HarmonicMapSpec) -> CheckResult:
     """Plain n-weighted tail sum; <= 1 is necessary on the sign-restricted
     class (equivalently <= 2 once the unit leading coefficient is counted,
     which is the n-weighted budget of :func:`silverman_check`)."""
@@ -196,20 +192,10 @@ def necessary_sharp_check(m: HarmonicMapSpec, tol: float = PASS_MARGIN) -> Check
             "the sharp necessary condition is only asserted on sign-restricted maps"
         )
     total = _weighted_sum(m, np.arange(m.truncation_order + 1))
-    return CheckResult(total, total <= 1.0 + tol)
+    return _budget_result(total, 1.0)
 
 
 # ------------------------------------------------------------ pointwise checks
-
-
-def _spiral_scan(field: GridField) -> ScanResult:
-    absf = field.nonvanishing
-    if field.pointwise is None:
-        raise NearZeroError(
-            f"|f| = {absf.min_value:.3e} below margin {field.grid.margin_eps:.1e} "
-            f"at z = {absf.witness}"
-        )
-    return field.pointwise
 
 
 def pointwise_spiral_check(
@@ -221,7 +207,14 @@ def pointwise_spiral_check(
     margin_eps anywhere on the grid (the division guard; equivalent to the
     nonvanishing scan failing).
     """
-    return _spiral_scan(GridField(m, grid, p.phase))
+    field = GridField(m, grid, p.phase)
+    if field.pointwise is None:
+        absf = field.nonvanishing
+        raise NearZeroError(
+            f"|f| = {absf.min_value:.3e} below margin {grid.margin_eps:.1e} "
+            f"at z = {absf.witness}"
+        )
+    return field.pointwise
 
 
 def pointwise_fully_starlike_check(m: HarmonicMapSpec, grid: GridSpec) -> ScanResult:
@@ -304,7 +297,7 @@ def growth_bounds(m: HarmonicMapSpec, p: SpiralParams, r: float) -> GrowthBounds
         raise HypothesisError(
             f"growth bounds need the sufficient test to pass (sum = {check.value:.6g})"
         )
-    c = weight_table(p, max(1, m.truncation_order)).b_over_a1()
+    c = weight_table(p, m.truncation_order).b_over_a1()
     return GrowthBounds(lower=(1.0 - c) * r, upper=(1.0 + c) * r, covering_radius=1.0 - c)
 
 
@@ -537,10 +530,10 @@ class VerificationReport:
 
     Pointwise results are sampled on ``grid`` and flagged as such; pass
     flags are pure functions of the reported numbers and the margins used.
-    Optional fields are None when the corresponding check is not applicable
-    (necessary checks outside the sign-restricted class, growth bounds when
-    the sufficient test fails, pointwise results when a near-zero |f| makes
-    the quotient ill-defined).
+    A check that is not applicable reads None: the necessary checks outside
+    the sign-restricted class, the growth bounds when the sufficient test
+    fails, and ``pointwise`` with ``inequality_sides`` when a near-zero |f|
+    makes the quotient ill-defined.  Every other field is always set.
     """
 
     lam: float
@@ -555,7 +548,7 @@ class VerificationReport:
     nonvanishing: ScanResult
     pointwise: Optional[ScanResult]
     inequality_sides: Optional[tuple[float, float]]
-    margin: Optional[ScanResult]
+    margin: ScanResult
     growth: Optional[GrowthBounds]
 
     def all_passed(self) -> bool:
@@ -570,8 +563,7 @@ class VerificationReport:
         if self.necessary_sharp is not None:
             checks.append(self.necessary_sharp.passed)
         checks.append(self.pointwise.passed if self.pointwise else False)
-        if self.margin is not None:
-            checks.append(self.margin.passed)
+        checks.append(self.margin.passed)
         return all(checks)
 
 
@@ -588,18 +580,9 @@ def run_all_checks(
         necessary_weighted = None
         necessary_sharp = None
     field = GridField(m, grid, p.phase)
-    sense = field.sense_preserving
-    nonvan = field.nonvanishing
-    try:
-        pointwise = _spiral_scan(field)
-        sides = spiral_inequality_sides(m, p, pointwise.witness)
-    except NearZeroError:
-        pointwise = None
-        sides = None
-    margin = field.margin
-    growth = (
-        growth_bounds(m, p, grid.r_max) if sufficient.passed else None
-    )
+    pointwise = field.pointwise
+    sides = None if pointwise is None else spiral_inequality_sides(m, p, pointwise.witness)
+    growth = growth_bounds(m, p, grid.r_max) if sufficient.passed else None
     return VerificationReport(
         lam=p.lam,
         truncation_order=m.truncation_order,
@@ -609,10 +592,10 @@ def run_all_checks(
         sufficient=sufficient,
         necessary_weighted=necessary_weighted,
         necessary_sharp=necessary_sharp,
-        sense_preserving=sense,
-        nonvanishing=nonvan,
+        sense_preserving=field.sense_preserving,
+        nonvanishing=field.nonvanishing,
         pointwise=pointwise,
         inequality_sides=sides,
-        margin=margin,
+        margin=field.margin,
         growth=growth,
     )

@@ -37,7 +37,7 @@ import contextlib
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,7 +79,6 @@ class ClosedForm:
     g: Callable[[np.ndarray], np.ndarray]
     dh: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
 
 def _pad_coeffs(values, length: int, what: str) -> np.ndarray:

@@ -80,11 +80,13 @@ class MapDocument:
     def build(self) -> tuple[HarmonicMapSpec, SpiralParams]:
         p = SpiralParams(self.lam)
         if self.catalog_name is not None:
-            params = dict(self.catalog_params)
-            alpha = params.pop("alpha", None)
+            alpha = self.catalog_params.get("alpha")
             if isinstance(alpha, list):
                 alpha = complex(alpha[0], alpha[1])
-            m = catalog(self.catalog_name, p=p, alpha=alpha, order=self.truncation)
+            try:
+                m = catalog(self.catalog_name, p=p, alpha=alpha, order=self.truncation)
+            except ValueError as exc:  # an alpha, or a truncation, the entry refuses
+                raise MapFileError(f"catalog entry {self.catalog_name!r}: {exc}") from exc
             return m, p
         a = [complex(re, im) for re, im in self.a]
         b = [complex(re, im) for re, im in self.b]
@@ -149,7 +151,11 @@ def parse_map_document(text: str) -> MapDocument:
         params = cat.get("params", {})
         if not isinstance(params, dict):
             raise MapFileError("field 'catalog.params' must be an object")
+        takes = [k for k in CATALOG_PARAMS[name] if k != "lambda"]  # lambda is top-level
         for key, value in params.items():
+            if key not in takes:
+                raise MapFileError(
+                    f"catalog entry {name!r} takes no parameter {key!r} in 'params'")
             ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
             ok = ok or (
                 isinstance(value, list)
@@ -161,6 +167,9 @@ def parse_map_document(text: str) -> MapDocument:
             )
             if not ok:
                 raise MapFileError(f"catalog parameter {key!r} must be a finite number or [re, im] pair")
+        for key in takes:
+            if key not in params:
+                raise MapFileError(f"catalog entry {name!r} needs the parameter {key!r}")
         return MapDocument(
             lam=float(lam), truncation=trunc, signed_form=signed,
             catalog_name=name, catalog_params=dict(params),

@@ -469,3 +469,56 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "A_n_over_B" in proc.stdout
+
+
+def write_catalog_file(tmp_path, name, params, lam=0.5, truncation=2):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"lambda": lam, "truncation": truncation, "signed_form": False,
+                                "catalog": {"name": name, "params": params}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, params, truncation, message",
+    [
+        ("koebe", {"alpha": 0.5}, 64, "'koebe' takes no parameter 'alpha'"),
+        ("f2", {"beta": 0.5}, 2, "'f2' takes no parameter 'beta'"),
+        ("f2", {"alpha": 0.5, "lambda": 0.1}, 2, "'f2' takes no parameter 'lambda'"),
+        ("f2", {}, 2, "'f2' needs the parameter 'alpha'"),
+        ("f1", {"alpha": 1.5}, 1, "open unit disk"),
+        ("f5", {"alpha": [0.5, 0.1]}, 2, "f5 needs a real alpha"),
+    ],
+)
+def test_verify_refuses_catalog_parameters_as_a_file_error(name, params, truncation, message,
+                                                            tmp_path, capsys):
+    path = write_catalog_file(tmp_path, name, params, truncation=truncation)
+    rc, out, err = run_cli(["verify", path], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["koebe", "--alpha", "0.5"], "'koebe' takes no --alpha"),
+        (["f6", "--lambda", "0.3", "--alpha", "0.5"], "'f6' takes no --alpha"),
+        (["f2", "--lambda", "0.3"], "needs the parameter alpha"),
+        (["f1", "--alpha", "1.5"], "open unit disk"),
+        (["f5", "--lambda", "0.3", "--alpha", "0.5", "--alpha-im", "0.1"], "f5 needs a real alpha"),
+    ],
+)
+def test_catalog_emit_refuses_parameters_as_a_usage_error(argv, message, tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    rc, out, err = run_cli(["catalog", "emit", *argv, "--out", str(out_path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "map.json"], ["construct", "f-epsilon"]])
+def test_grid_defaults_are_the_default_grid(argv):
+    from spiralmaps.cli import _parse_grid, build_parser
+    from spiralmaps.harmonic import GridSpec
+
+    args = build_parser().parse_args(argv)
+    assert _parse_grid(args.grid, args.eps) == GridSpec()

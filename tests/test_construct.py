@@ -502,3 +502,60 @@ class TestRandomGenerators:
         assert m.a.size == 0
         m = random_starlike_budget_map(rng, order=1, n_terms=2)
         assert silverman_check(m).passed
+
+
+#: The nonzero coefficients {n: a_n}, {n: b_n} of the seeded order-8 draws at
+#: the default n_terms (random_sufficient_map at lam = pi/4), as the
+#: generators drew them before their unused knobs were removed.  A draw that
+#: is dropped, added or moved changes them.
+PINNED_DRAWS = {
+    ("random_sufficient_map", 0): (
+        {4: 0.019201639776243406+0.003453218663768357j,
+         5: -0.02282245623201949-0.006083693896507639j,
+         7: 0.00019181280083602315-0.00023971684023920081j,
+         8: 0.00026808659203694606-0.0006105075431666728j},
+        {5: -0.0008968905911414286-0.006923424656405727j,
+         6: 0.007921989267596354+0.01570740442719838j},
+    ),
+    ("random_sufficient_map", 1): (
+        {3: 5.3029763270221146e-05-0.023143865181458417j,
+         4: -0.006341929572217406+0.0019075887894428433j,
+         5: -0.005934448383401169+0.004136745745161445j},
+        {1: -0.08272866699248983+0.07935352272472027j},
+    ),
+    ("random_sufficient_map", 2): (
+        {2: -0.008124011594078901-0.018164292724483645j,
+         3: 0.0053055928962144235+0.0019156543428765246j,
+         6: -0.007266792544202232-0.0029974764019755364j},
+        {2: -0.0029101278008391426+0.004227013375331559j,
+         4: -0.0057695844577573315-0.006395726626925649j,
+         8: -0.0006086608884007136+0.00027421899295360905j},
+    ),
+    ("random_starlike_budget_map", 0): (
+        {7: -0.052418722055894144},
+        {1: 0.19640371506442852, 5: 0.0019790106492187072, 6: 0.011524091084528574},
+    ),
+    ("random_starlike_budget_map", 1): (
+        {4: -0.03018237677892894, 5: -0.013302260233336994, 6: -0.023105926864213876},
+        {1: 0.06174680847332514, 7: 0.01976727614717566},
+    ),
+    ("random_starlike_budget_map", 2): (
+        {3: -0.021560265274512727, 5: -0.006434470181886945},
+        {3: 0.03255563728177248, 4: 0.005063147937544276, 8: 0.0098158293154246},
+    ),
+}
+
+
+@pytest.mark.parametrize("generator, seed", sorted(PINNED_DRAWS))
+def test_seeded_draws_are_pinned(generator, seed):
+    from spiralmaps import construct
+
+    rng = np.random.default_rng(seed)
+    make = getattr(construct, generator)
+    m = make(rng, PI4, order=8) if generator == "random_sufficient_map" else make(rng, order=8)
+    a, b = PINNED_DRAWS[generator, seed]
+    want_a, want_b = np.zeros(7, dtype=complex), np.zeros(8, dtype=complex)
+    want_a[[n - 2 for n in a]] = list(a.values())
+    want_b[[n - 1 for n in b]] = list(b.values())
+    np.testing.assert_allclose(m.a, want_a, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m.b, want_b, rtol=1e-12, atol=0)

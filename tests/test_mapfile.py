@@ -136,3 +136,41 @@ class TestEmit:
     def test_emit_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             format_number(float("nan"))
+
+
+def catalog_document(name, params, lam=0.5, truncation=2):
+    return (f'{{"lambda": {lam}, "truncation": {truncation}, "signed_form": false, '
+            f'"catalog": {{"name": "{name}", "params": {params}}}}}')
+
+
+class TestCatalogParams:
+    """A catalog entry's parameters are exactly those it takes: a parameter it
+    does not take, or a missing or refused alpha, is a file error."""
+
+    def test_rejects_alpha_on_an_entry_without_one(self):
+        with pytest.raises(MapFileError, match="'koebe' takes no parameter 'alpha'"):
+            parse_map_document(catalog_document("koebe", '{"alpha": 0.5}', truncation=64))
+
+    def test_rejects_an_unknown_parameter(self):
+        # Not dropped, and not reported as the missing alpha either.
+        with pytest.raises(MapFileError, match="'f2' takes no parameter 'beta'"):
+            parse_map_document(catalog_document("f2", '{"beta": 0.5}'))
+
+    def test_rejects_lambda_inside_params(self):
+        # The angle is the top-level "lambda"; one inside params is not read.
+        with pytest.raises(MapFileError, match="'f2' takes no parameter 'lambda'"):
+            parse_map_document(catalog_document("f2", '{"alpha": 0.5, "lambda": 0.1}'))
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f5"])
+    def test_rejects_a_missing_alpha(self, name):
+        with pytest.raises(MapFileError, match=f"'{name}' needs the parameter 'alpha'"):
+            parse_map_document(catalog_document(name, "{}"))
+
+    @pytest.mark.parametrize(
+        "name, alpha, why",
+        [("f1", "1.5", "open unit disk"), ("f5", "[0.5, 0.1]", "real alpha in \\(0, 1\\)")],
+    )
+    def test_an_alpha_the_entry_refuses_is_a_file_error(self, name, alpha, why):
+        doc = parse_map_document(catalog_document(name, f'{{"alpha": {alpha}}}'))
+        with pytest.raises(MapFileError, match=f"'{name}': .*{why}"):
+            doc.build()
