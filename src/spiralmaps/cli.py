@@ -4,9 +4,22 @@ Subcommands:
 
     verify <file> [--grid r_min,r_max,n_r,n_theta] [--eps E]
     weights --lambda <rad> --n <N>
-    construct {extremal|combo|multiplier|power-transform|f-epsilon} ...
+    construct extremal --lambda <rad> [--truncation N] [--x n=re[,im]]...
+        [--y n=re[,im]]... [--out PATH]
+    construct combo --lambda <rad> [--truncation N] [--X n=w]... [--Y n=w]...
+        [--sign {-1,1}] [--out PATH]
+    construct multiplier --from <file> [--lambda <rad>]
+        (--dn-max | --d n=re[,im]...) [--out PATH]
+    construct power-transform --lambda <rad> [--truncation N]
+        [--g {koebe|identity|<file>}] [--orientation {-1,1}] [--out PATH]
+    construct f-epsilon --from <file> [--lambda <rad>] [--n-eps K]
+        [--grid r_min,r_max,n_r,n_theta] [--eps E] [--out PATH]
     plot <file> [--radii ...] [--samples S] [--csv] [--out PATH]
-    catalog [list | emit <name> ...]
+    catalog [list | emit <name> [--lambda <rad>] [--alpha re [--alpha-im im]]
+        [--truncation N] [--out PATH]]
+
+Each construct builder accepts only the options listed for it, spelled out
+in full: any other option is a usage error.
 
 Exit codes: 0 all applicable checks passed (or output written), 1 a check
 failed, 2 usage or parse errors.  All numeric output uses 9 significant
@@ -16,6 +29,7 @@ digits so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -145,6 +159,15 @@ def _order(n, what: str):
     return n
 
 
+def _spiral(lam: float) -> SpiralParams:
+    """The angle of ``--lambda``; outside (-pi/2, pi/2), NaN included, a usage
+    error."""
+    try:
+        return SpiralParams(lam)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_indexed(values, what: str, complex_ok: bool = True) -> dict[int, complex]:
     """Parse repeated ``n=re[,im]`` options into an index -> value dict."""
     out: dict[int, complex] = {}
@@ -162,6 +185,8 @@ def _parse_indexed(values, what: str, complex_ok: bool = True) -> dict[int, comp
             im = float(pieces[1]) if len(pieces) > 1 else 0.0
         except (ValueError, IndexError):
             raise MapFileError(f"{what} value {val_text!r} is not re[,im]")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise MapFileError(f"{what} entry {item!r} contains a non-finite value")
         if im != 0.0 and not complex_ok:
             raise MapFileError(f"{what} value for n={idx} must be real")
         out[idx] = complex(re, im)
@@ -191,11 +216,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weights(args) -> int:
     _order(args.n, "--n")
-    try:
-        p = SpiralParams(args.lam)
-        wt = weight_table(p, args.n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    p = _spiral(args.lam)
+    wt = weight_table(p, args.n)
     print(f"lambda = {format_number(p.lam)}")
     print(f"B = {format_number(wt.B)}")
     print("n A_n A_n_over_B n_B_over_A_n")
@@ -219,14 +241,12 @@ def _dict_to_tail(d: dict[int, complex], start: int, n_max: int, what: str) -> n
 
 
 def _cmd_construct(args) -> int:
-    p = SpiralParams(args.lam) if args.lam is not None else None
-    _order(args.truncation, "--truncation")
+    p = _spiral(args.lam) if args.lam is not None else None
     if args.builder == "extremal":
-        if p is None:
-            raise MapFileError("construct extremal needs --lambda")
+        order = _order(args.truncation, "--truncation")
         x = _parse_indexed(args.x, "--x")
         y = _parse_indexed(args.y, "--y")
-        n_max = _order(max([args.truncation or 1] + list(x) + list(y)), "index")
+        n_max = _order(max([order or 1] + list(x) + list(y)), "index")
         m = extremal_family(
             _dict_to_tail(x, 2, n_max, "--x"),
             _dict_to_tail(y, 1, n_max, "--y"),
@@ -234,11 +254,10 @@ def _cmd_construct(args) -> int:
             order=n_max,
         )
     elif args.builder == "combo":
-        if p is None:
-            raise MapFileError("construct combo needs --lambda")
+        order = _order(args.truncation, "--truncation")
         xw = _parse_indexed(args.X, "--X", complex_ok=False)
         yw = _parse_indexed(args.Y, "--Y", complex_ok=False)
-        n_max = _order(max([args.truncation or 1] + list(xw) + list(yw)), "index")
+        n_max = _order(max([order or 1] + list(xw) + list(yw)), "index")
         X = _dict_to_tail(xw, 1, n_max, "--X").real
         Y = _dict_to_tail(yw, 1, n_max, "--Y").real
         slack = 1.0 - X.sum() - Y.sum()
@@ -248,6 +267,8 @@ def _cmd_construct(args) -> int:
             X[0] = max(slack, 0.0)  # identity share absorbs the remainder
         m = convex_combination(CombinationWeights(X=X, Y=Y), p, sign=args.sign)
     elif args.builder == "multiplier":
+        if args.from_file is None:
+            raise MapFileError("construct multiplier needs --from")
         F, p_file = load_map_file(args.from_file)
         p = p or p_file
         if args.dn_max:
@@ -261,10 +282,9 @@ def _cmd_construct(args) -> int:
             )
         m = multiplier_transfer(F, d, p)
     elif args.builder == "power-transform":
-        if p is None:
-            raise MapFileError("construct power-transform needs --lambda")
+        order = _order(args.truncation, "--truncation")
         if args.g in ("koebe", "identity"):
-            g = catalog(args.g, order=args.truncation).h_series()  # None -> default
+            g = catalog(args.g, order=order).h_series()  # None -> default
         else:
             gm, _ = load_map_file(args.g)
             if np.any(np.abs(gm.b) > 0):
@@ -277,6 +297,8 @@ def _cmd_construct(args) -> int:
     else:  # f-epsilon
         if not 1 <= args.n_eps <= MAX_EPS_SAMPLES:
             raise argparse.ArgumentTypeError(f"--n-eps must lie in 1..{MAX_EPS_SAMPLES}")
+        if args.from_file is None:
+            raise MapFileError("construct f-epsilon needs --from")
         F, p_file = load_map_file(args.from_file)
         p = p or p_file
         if not F.signed_form:
@@ -339,12 +361,14 @@ def _cmd_catalog(args) -> int:
             print(f"  {known}", file=sys.stderr)
         return _USAGE_EXIT
     lam = args.lam if args.lam is not None else 0.0
-    p = SpiralParams(lam)
+    p = _spiral(lam)
     alpha, params = None, {}
+    if args.alpha_im is not None and args.alpha_re is None:
+        raise argparse.ArgumentTypeError("--alpha-im needs --alpha")
     if args.alpha_re is not None:
         if "alpha" not in CATALOG_PARAMS[name]:
             raise argparse.ArgumentTypeError(f"catalog entry {name!r} takes no --alpha")
-        alpha = complex(args.alpha_re, args.alpha_im)
+        alpha = complex(args.alpha_re, args.alpha_im or 0.0)
         params["alpha"] = [alpha.real, alpha.imag] if alpha.imag else alpha.real
     try:
         m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
@@ -390,26 +414,29 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(func=_cmd_weights)
 
     pc = sub.add_parser("construct", help="build a map and write it as a map file")
-    pc.add_argument(
-        "builder",
-        choices=["extremal", "combo", "multiplier", "power-transform", "f-epsilon"],
-    )
-    pc.add_argument("--lambda", dest="lam", type=float, default=None)
-    pc.add_argument("--truncation", type=int, default=None)
-    pc.add_argument("--x", action="append", help="extremal weight n=re[,im]")
-    pc.add_argument("--y", action="append", help="extremal weight n=re[,im]")
-    pc.add_argument("--X", action="append", help="combination weight n=w")
-    pc.add_argument("--Y", action="append", help="combination weight n=w")
-    pc.add_argument("--sign", type=int, choices=[-1, 1], default=1)
-    pc.add_argument("--from", dest="from_file", help="input map file")
-    pc.add_argument("--dn-max", action="store_true", help="use d_n = n B/A_n")
-    pc.add_argument("--d", action="append", help="multiplier n=re[,im]")
-    pc.add_argument("--g", default="koebe", help="transform input: catalog name or file")
-    pc.add_argument("--orientation", type=int, choices=[-1, 1], default=1)
-    pc.add_argument("--n-eps", type=int, default=64)
-    _grid_arguments(pc)
-    pc.add_argument("--out", default=None, help="output path (default stdout)")
-    pc.set_defaults(func=_cmd_construct)
+    builders = pc.add_subparsers(dest="builder", required=True)
+    pe, pb, pm, pt, pf = (builders.add_parser(name, allow_abbrev=False) for name in (
+        "extremal", "combo", "multiplier", "power-transform", "f-epsilon"))
+    for b in (pe, pb, pm, pt, pf):
+        b.add_argument("--lambda", dest="lam", type=float, required=b not in (pm, pf))
+        b.add_argument("--out", default=None, help="output path (default stdout)")
+        b.set_defaults(func=_cmd_construct)
+    for b in (pe, pb, pt):
+        b.add_argument("--truncation", type=int, default=None)
+    for b in (pm, pf):
+        b.add_argument("--from", dest="from_file", help="input map file")
+    pe.add_argument("--x", action="append", help="extremal weight n=re[,im]")
+    pe.add_argument("--y", action="append", help="extremal weight n=re[,im]")
+    pb.add_argument("--X", action="append", help="combination weight n=w")
+    pb.add_argument("--Y", action="append", help="combination weight n=w")
+    pb.add_argument("--sign", type=int, choices=[-1, 1], default=1)
+    multipliers = pm.add_mutually_exclusive_group()
+    multipliers.add_argument("--dn-max", action="store_true", help="use d_n = n B/A_n")
+    multipliers.add_argument("--d", action="append", help="multiplier n=re[,im]")
+    pt.add_argument("--g", default="koebe", help="transform input: catalog name or file")
+    pt.add_argument("--orientation", type=int, choices=[-1, 1], default=1)
+    pf.add_argument("--n-eps", type=int, default=64)
+    _grid_arguments(pf)
 
     pp = sub.add_parser("plot", help="render circle images as SVG or CSV")
     pp.add_argument("file")
@@ -427,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("name")
     ke.add_argument("--lambda", dest="lam", type=float, default=None)
     ke.add_argument("--alpha", dest="alpha_re", type=float, default=None)
-    ke.add_argument("--alpha-im", dest="alpha_im", type=float, default=0.0)
+    ke.add_argument("--alpha-im", dest="alpha_im", type=float, default=None)
     ke.add_argument("--truncation", type=int, default=None)
     ke.add_argument("--out", default=None)
     ke.set_defaults(func=_cmd_catalog, action="emit")

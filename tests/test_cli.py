@@ -522,3 +522,127 @@ def test_grid_defaults_are_the_default_grid(argv):
 
     args = build_parser().parse_args(argv)
     assert _parse_grid(args.grid, args.eps) == GridSpec()
+
+
+# Every construct option with a valid value, and the options each builder reads.
+CONSTRUCT_OPTIONS = {
+    "--lambda": ["0.3"], "--truncation": ["4"], "--x": ["2=0.1"], "--y": ["1=0.1"],
+    "--X": ["2=0.1"], "--Y": ["1=0.1"], "--sign": ["-1"], "--from": None, "--dn-max": [],
+    "--d": ["1=0.5"], "--g": ["koebe"], "--orientation": ["-1"], "--n-eps": ["4"],
+    "--grid": ["0.01,0.9,4,16"], "--eps": ["1e-9"], "--out": None,
+}
+BUILDER_OPTIONS = {
+    "extremal": ("--lambda", "--truncation", "--x", "--y", "--out"),
+    "combo": ("--lambda", "--truncation", "--X", "--Y", "--sign", "--out"),
+    "multiplier": ("--lambda", "--from", "--dn-max", "--d", "--out"),
+    "power-transform": ("--lambda", "--truncation", "--g", "--orientation", "--out"),
+    "f-epsilon": ("--lambda", "--from", "--n-eps", "--grid", "--eps", "--out"),
+}
+BUILDER_ARGV = {
+    "extremal": ["--lambda", "0.3", "--x", "2=0.1"],
+    "combo": ["--lambda", "0.3", "--X", "2=0.1"],
+    "multiplier": ["--dn-max"],
+    "power-transform": ["--lambda", "0.3"],
+    "f-epsilon": ["--n-eps", "4", "--grid", "0.01,0.9,4,16"],
+}
+
+
+def construct_argv(builder, from_file, out_path):
+    """A construct command that writes a map: the --from builders read
+    ``from_file``, the others build from their own options."""
+    source = ["--from", from_file] if "--from" in BUILDER_OPTIONS[builder] else []
+    return ["construct", builder, *BUILDER_ARGV[builder], *source, "--out", str(out_path)]
+
+
+def test_builder_commands_write_a_map(identity_file, tmp_path, capsys):
+    # The base commands of the option tests below succeed on their own.
+    for builder in BUILDER_OPTIONS:
+        out_path = tmp_path / f"{builder}.json"
+        rc, _, err = run_cli(construct_argv(builder, identity_file, out_path), capsys)
+        assert (rc, err) == (0, ""), builder
+        assert parse_map_document(out_path.read_text()).build()
+
+
+@pytest.mark.parametrize(
+    "builder, option",
+    [(b, o) for b, read in BUILDER_OPTIONS.items() for o in CONSTRUCT_OPTIONS if o not in read],
+)
+def test_construct_refuses_options_its_builder_does_not_read(builder, option, identity_file,
+                                                              tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    value = CONSTRUCT_OPTIONS[option]
+    extra = [option, *(value if value is not None else [identity_file])]
+    with pytest.raises(SystemExit) as exc:
+        main(construct_argv(builder, identity_file, out_path) + extra)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {option}" in err
+    assert not out_path.exists()
+
+
+def test_multiplier_takes_dn_max_or_d_not_both(identity_file, tmp_path, capsys):
+    # With --dn-max the --d entries would be dropped.
+    out_path = tmp_path / "map.json"
+    with pytest.raises(SystemExit) as exc:
+        main(construct_argv("multiplier", identity_file, out_path) + ["--d", "1=0.5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --dn-max" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("builder", ["multiplier", "f-epsilon"])
+def test_construct_without_from_is_a_usage_error(builder, tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    rc, out, err = run_cli(["construct", builder, *BUILDER_ARGV[builder],
+                            "--out", str(out_path)], capsys)
+    assert (rc, out, err) == (2, "", f"error: construct {builder} needs --from\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("lam", ["2", "-1.6", "nan", "inf"])
+@pytest.mark.parametrize("command", [*BUILDER_OPTIONS, "catalog emit", "weights"])
+def test_lambda_outside_the_open_interval_is_a_usage_error(command, lam, identity_file,
+                                                            tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    if command == "catalog emit":
+        argv = ["catalog", "emit", "koebe", "--out", str(out_path)]
+    elif command == "weights":
+        argv = ["weights", "--n", "4"]
+    else:
+        argv = construct_argv(command, identity_file, out_path)
+    rc, out, err = run_cli([*argv, "--lambda", lam], capsys)
+    assert (rc, out, err) == (2, "", "error: spiral angle must satisfy |lam| < pi/2\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["koebe", "f1"])
+def test_catalog_emit_alpha_im_without_alpha_is_a_usage_error(name, tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    rc, out, err = run_cli(["catalog", "emit", name, "--alpha-im", "0.5",
+                            "--out", str(out_path)], capsys)
+    assert (rc, out, err) == (2, "", "error: --alpha-im needs --alpha\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "builder, option, value",
+    [
+        ("extremal", "--x", "2=nan"),
+        ("extremal", "--y", "1=0.1,nan"),
+        ("extremal", "--y", "1=inf"),
+        ("combo", "--X", "2=nan"),
+        ("combo", "--Y", "1=-inf"),
+        ("multiplier", "--d", "1=nan"),
+        ("multiplier", "--d", "1=0.5,inf"),
+    ],
+)
+def test_non_finite_indexed_value_is_a_usage_error(builder, option, value, identity_file,
+                                                   tmp_path, capsys):
+    out_path = tmp_path / "map.json"
+    argv = construct_argv(builder, identity_file, out_path)
+    if builder == "multiplier":
+        argv.remove("--dn-max")
+    rc, out, err = run_cli([*argv, option, value], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {option} entry {value!r} contains a non-finite value\n"
+    assert not out_path.exists()
