@@ -19,7 +19,8 @@ Subcommands:
         [--truncation N] [--out PATH]]
 
 Each construct builder accepts only the options listed for it, spelled out
-in full: any other option is a usage error.
+in full: any other option is a usage error with the builder's usage line.
+The power transform's --truncation sets the order of a catalog --g only.
 
 Exit codes: 0 all applicable checks passed (or output written), 1 a check
 failed, 2 usage or parse errors.  All numeric output uses 9 significant
@@ -98,7 +99,7 @@ def report_lines(report: VerificationReport) -> list[str]:
         f"grid_n_radii = {g.n_radii}",
         f"grid_n_angles = {g.n_angles}",
         f"margin_eps = {format_number(g.margin_eps)}",
-        f"pointwise_method = {'sampled' if report.sampled else 'exact'}",
+        "pointwise_method = sampled",
         f"silverman_sum = {format_number(report.silverman.value)}",
         f"silverman_pass = {_fmt_bool(report.silverman.passed)}",
         f"sufficient_sum = {format_number(report.sufficient.value)}",
@@ -286,6 +287,8 @@ def _cmd_construct(args) -> int:
         if args.g in ("koebe", "identity"):
             g = catalog(args.g, order=order).h_series()  # None -> default
         else:
+            if order is not None:
+                raise MapFileError(f"--truncation needs a catalog --g, not the map file {args.g!r}")
             gm, _ = load_map_file(args.g)
             if np.any(np.abs(gm.b) > 0):
                 raise MapFileError("power-transform input must be analytic (empty b)")
@@ -406,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run every applicable check on a map file")
     pv.add_argument("file")
     _grid_arguments(pv)
-    pv.set_defaults(func=_cmd_verify)
+    pv.set_defaults(func=_cmd_verify, parser=pv)
 
     pw = sub.add_parser("weights", help="print the weight table for one angle")
     pw.add_argument("--lambda", dest="lam", type=float, required=True)
     pw.add_argument("--n", type=int, required=True)
-    pw.set_defaults(func=_cmd_weights)
+    pw.set_defaults(func=_cmd_weights, parser=pw)
 
     pc = sub.add_parser("construct", help="build a map and write it as a map file")
     builders = pc.add_subparsers(dest="builder", required=True)
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     for b in (pe, pb, pm, pt, pf):
         b.add_argument("--lambda", dest="lam", type=float, required=b not in (pm, pf))
         b.add_argument("--out", default=None, help="output path (default stdout)")
-        b.set_defaults(func=_cmd_construct)
+        b.set_defaults(func=_cmd_construct, parser=b)
     for b in (pe, pb, pt):
         b.add_argument("--truncation", type=int, default=None)
     for b in (pm, pf):
@@ -444,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--samples", type=int, default=720)
     pp.add_argument("--csv", action="store_true", help="emit CSV instead of SVG")
     pp.add_argument("--out", default=None, help="output path (default stdout)")
-    pp.set_defaults(func=_cmd_plot)
+    pp.set_defaults(func=_cmd_plot, parser=pp)
 
     pk = sub.add_parser("catalog", help="list or emit built-in example maps")
     ksub = pk.add_subparsers(dest="action", required=True)
     kl = ksub.add_parser("list")
-    kl.set_defaults(func=_cmd_catalog, action="list")
+    kl.set_defaults(func=_cmd_catalog, action="list", parser=kl)
     ke = ksub.add_parser("emit")
     ke.add_argument("name")
     ke.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -457,14 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--alpha-im", dest="alpha_im", type=float, default=None)
     ke.add_argument("--truncation", type=int, default=None)
     ke.add_argument("--out", default=None)
-    ke.set_defaults(func=_cmd_catalog, action="emit")
+    ke.set_defaults(func=_cmd_catalog, action="emit", parser=ke)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # argparse hands a subcommand's unknown options back to the top-level parser
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (MapFileError, FileNotFoundError, argparse.ArgumentTypeError) as exc:

@@ -1,16 +1,16 @@
 """Constructors, transforms, and the built-in example catalog.
 
 The extremal family and convex combinations build maps that saturate the
-sufficient coefficient test; decomposition inverts the combination on the
-sign-restricted class.  The multiplier transfer moves between hereditarily
-starlike and hereditarily spirallike maps through the bound
-|d_n| <= n B/A_n.  The analytic power transform sends a starlike series g
-to h = z (g/z)^mu with mu = e^{i s lam} cos(lam); with the default
-orientation s = +1 the output satisfies Re(e^{-i lam} z h'/h) =
-cos(lam) Re(z g'/g) > 0, i.e. it is spirallike at the same angle under the
-Re(e^{-i lam} . ) > 0 convention.  The mirrored exponent (s = -1) produces
-the angle-reflected class; both are exposed because the two conventions
-appear in the literature.
+sufficient coefficient test; decomposition splits a sign-restricted map into
+weights that recombination turns back into it when every b_n >= 0.  The
+multiplier transfer moves between hereditarily starlike and hereditarily
+spirallike maps through the bound |d_n| <= n B/A_n.  The analytic power
+transform sends a starlike series g to h = z (g/z)^mu with
+mu = e^{i s lam} cos(lam); with the default orientation s = +1 the output
+satisfies Re(e^{-i lam} z h'/h) = cos(lam) Re(z g'/g) > 0, i.e. it is
+spirallike at the same angle under the Re(e^{-i lam} . ) > 0 convention.
+The mirrored exponent (s = -1) produces the angle-reflected class; both are
+exposed because the two conventions appear in the literature.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from .harmonic import (
     workspace,
 )
 from .criteria import (
+    ClassFormError,
     EpsilonScanResult,
     SpiralParams,
+    _ab_rows,
     family_scan,
     silverman_check,
     unimodular_samples,
@@ -114,10 +116,9 @@ def extremal_family(x, y, p: SpiralParams, order: int | None = None) -> Harmonic
         raise ConstraintError(f"weight budget sum|x| + sum|y| = {budget:.6g} exceeds 1")
     if order is None:
         order = max(x.size + 1, y.size, 1)
-    wt = weight_table(p, max(order, 1))
-    ratios = wt.necessary_ratios()  # B/A_n
-    a = x * ratios[2 : x.size + 2]
-    b = y * ratios[1 : y.size + 1]
+    ra, rb = _ab_rows(weight_table(p, max(order, 1)).necessary_ratios(), order)  # B/A_n
+    a = x * ra[: x.size]
+    b = y * rb[: y.size]
     return HarmonicMapSpec(
         a=a, b=b, truncation_order=order, signed_form=signed_shape(a, b)
     )
@@ -136,10 +137,9 @@ def convex_combination(
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     n_max = w.n_max
-    wt = weight_table(p, n_max)
-    ratios = wt.necessary_ratios()
-    a = sign * w.X[1:] * ratios[2 : n_max + 1]
-    b = w.Y * ratios[1 : n_max + 1]
+    ra, rb = _ab_rows(weight_table(p, n_max).necessary_ratios(), n_max)
+    a = sign * w.X[1:] * ra
+    b = w.Y * rb
     return HarmonicMapSpec(
         a=a, b=b, truncation_order=n_max, signed_form=signed_shape(a, b)
     )
@@ -150,20 +150,18 @@ def decompose(m: HarmonicMapSpec, p: SpiralParams) -> CombinationWeights:
     X_1 = 1 - sum X - sum Y.
 
     Requires the sign-restricted form and a nonnegative identity share
-    (equivalently, the weighted necessary test passing); :func:`recombine`
-    inverts it exactly.
+    (equivalently, the weighted necessary test passing).  The weights keep
+    only |a_n| and |b_n|: :func:`recombine` returns the map up to rounding
+    when every b_n >= 0, and with |b_n| for each b_n < 0 otherwise (f6
+    comes back as f7).
     """
-    from .criteria import ClassFormError
-
     if not m.signed_form:
         raise ClassFormError("decomposition is defined on sign-restricted maps")
     n_max = m.truncation_order
-    wt = weight_table(p, n_max)
-    ratios = wt.necessary_ratios()
+    ra, rb = _ab_rows(weight_table(p, n_max).necessary_ratios(), n_max)
     X = np.zeros(n_max)
-    Y = np.zeros(n_max)
-    X[1:] = np.abs(m.a) * ratios[2 : n_max + 1]
-    Y[:] = np.abs(m.b) * ratios[1 : n_max + 1]
+    X[1:] = np.abs(m.a) * ra
+    Y = np.abs(m.b) * rb
     share = 1.0 - X.sum() - Y.sum()
     if share < -1e-12:
         raise DecompositionError(
@@ -174,12 +172,12 @@ def decompose(m: HarmonicMapSpec, p: SpiralParams) -> CombinationWeights:
 
 
 def recombine(w: CombinationWeights, p: SpiralParams) -> HarmonicMapSpec:
-    """Inverse of :func:`decompose`: basis h_n = z - (A_n/B) z^n,
-    g_n = z + (A_n/B) conj(z^n), identity share on n = 1."""
+    """The map of :func:`decompose`'s weights: basis h_n = z - (A_n/B) z^n,
+    g_n = z + (A_n/B) conj(z^n), identity share on n = 1, so every b_n >= 0."""
     n_max = w.n_max
-    ratios = weight_table(p, n_max).sufficient_ratios()  # A_n/B
-    a = -w.X[1:] * ratios[2 : n_max + 1]
-    b = w.Y * ratios[1 : n_max + 1]
+    ra, rb = _ab_rows(weight_table(p, n_max).sufficient_ratios(), n_max)  # A_n/B
+    a = -w.X[1:] * ra
+    b = w.Y * rb
     return HarmonicMapSpec(a=a, b=b, truncation_order=n_max, signed_form=True)
 
 
@@ -204,9 +202,8 @@ class MultiplierSequence:
     @classmethod
     def max_allowed(cls, p: SpiralParams, n_max: int) -> "MultiplierSequence":
         """The extremal choice d_n = n B / A_n."""
-        wt = weight_table(p, n_max)
-        n = np.arange(1, n_max + 1)
-        return cls(d=n * wt.necessary_ratios()[1:])
+        n, ratios = np.arange(n_max + 1), weight_table(p, n_max).necessary_ratios()
+        return cls(d=_ab_rows(n * ratios, n_max)[1])
 
 
 def multiplier_transfer(
@@ -219,8 +216,6 @@ def multiplier_transfer(
     |d_n| <= n B / A_n; the output then passes the sufficient test at this
     angle.
     """
-    from .criteria import ClassFormError
-
     if not F.signed_form:
         raise ClassFormError("multiplier transfer starts from a sign-restricted map")
     sil = silverman_check(F)
@@ -229,8 +224,7 @@ def multiplier_transfer(
             f"input map fails the n-weighted coefficient budget (sum = {sil.value:.6g})"
         )
     n_max = F.truncation_order
-    wt = weight_table(p, n_max)
-    bound = np.arange(1, n_max + 1) * wt.necessary_ratios()[1:]
+    bound = MultiplierSequence.max_allowed(p, n_max).d.real
     dd = np.zeros(n_max, dtype=np.complex128)
     dd[: d.d.size] = d.d[:n_max]
     over = np.abs(dd) > bound + 1e-12
@@ -601,20 +595,18 @@ def catalog(
         )
     if key == "harmonic_koebe":
         n = _or_default(order, DEFAULT_ORDER)
-        idx = np.arange(2, n + 1, dtype=np.float64)
-        a = (2 * idx + 1) * (idx + 1) / 6.0
-        b_idx = np.arange(1, n + 1, dtype=np.float64)
-        b = (b_idx - 1) * (2 * b_idx - 1) / 6.0
+        na, nb = _ab_rows(np.arange(n + 1.0), n)
+        a = (2 * na + 1) * (na + 1) / 6.0
+        b = (nb - 1) * (2 * nb - 1) / 6.0
         return HarmonicMapSpec(
             a=a, b=b, truncation_order=n, signed_form=False,
             closed_form=_harmonic_koebe_closed_form(),
         )
     if key == "half_plane":
         n = _or_default(order, DEFAULT_ORDER)
-        idx = np.arange(2, n + 1, dtype=np.float64)
-        a = (idx + 1) / 2.0
-        b_idx = np.arange(1, n + 1, dtype=np.float64)
-        b = -(b_idx - 1) / 2.0
+        na, nb = _ab_rows(np.arange(n + 1.0), n)
+        a = (na + 1) / 2.0
+        b = -(nb - 1) / 2.0
         return HarmonicMapSpec(
             a=a, b=b, truncation_order=n, signed_form=False,
             closed_form=_half_plane_closed_form(),
@@ -692,8 +684,9 @@ def random_signed_map(
     """Random sign-restricted map passing the sufficient test, with sum
     uniform in (0.05, 0.98).
 
-    Analytic-part weights enter negatively and co-analytic ones
-    nonnegatively, which is the whole sign freedom the class permits.
+    Analytic-part coefficients are <= 0 and co-analytic ones >= 0.  That is
+    one sign pattern of the class: the signed form also admits real b_n < 0,
+    which this generator never draws.
     """
     mags = _random_budget(rng, n_terms, float(rng.uniform(0.05, 0.98)))
     x = np.zeros(max(order - 1, 0), dtype=np.float64)

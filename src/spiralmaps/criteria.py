@@ -108,8 +108,8 @@ class WeightTable:
 def weight_table(p: SpiralParams, n_max: int) -> WeightTable:
     """Compute the weight table by direct complex modulus arithmetic.
 
-    The weights of the last angle and n_max are kept: a report asks for the
-    same table up to four times."""
+    The weights of the last angle and n_max are kept: building a map and
+    checking it at one angle ask for the same table."""
     if n_max < 1:
         raise ValueError("weight table needs n_max >= 1")
     a, b = _weights(p.lam, n_max)
@@ -128,6 +128,12 @@ def _weights(lam: float, n_max: int) -> tuple[np.ndarray, float]:
     return full, b
 
 
+def _ab_rows(row: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``row[n]`` at the subscripts of a_n (n = 2..order) and of b_n
+    (n = 1..order), the offsets of ``HarmonicMapSpec.a`` and ``.b``."""
+    return row[2 : order + 1], row[1 : order + 1]
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Value of a coefficient sum together with its pass flag."""
@@ -136,21 +142,52 @@ class CheckResult:
     passed: bool
 
 
+@dataclass(frozen=True)
+class GrowthBounds:
+    """Modulus bounds (1 -+ B/A_1) r and the covering radius 1 - B/A_1."""
+
+    lower: float
+    upper: float
+    covering_radius: float
+
+
 def _budget_result(total: float, bound: float) -> CheckResult:
     """A coefficient sum against its bound: passes when total <= bound + PASS_MARGIN."""
     return CheckResult(total, total <= bound + PASS_MARGIN)
 
 
-def _tail_magnitudes(m: HarmonicMapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    na = np.arange(2, m.truncation_order + 1)
-    nb = np.arange(1, m.truncation_order + 1)
-    return np.abs(m.a), np.abs(m.b), na, nb
+def _weighted_sum(amag: np.ndarray, bmag: np.ndarray, row: np.ndarray) -> float:
+    """sum w_n |a_n| + sum w_n |b_n| over the stored tail, ``row[n]`` = w_n."""
+    wa, wb = _ab_rows(row, bmag.size)
+    return float(np.dot(wa, amag) + np.dot(wb, bmag))
 
 
-def _weighted_sum(m: HarmonicMapSpec, weights: np.ndarray) -> float:
-    """sum w_n |a_n| + sum w_n |b_n| over the stored tail, ``weights[n]`` = w_n."""
-    amag, bmag, na, nb = _tail_magnitudes(m)
-    return float(np.dot(weights[na], amag) + np.dot(weights[nb], bmag))
+def _coefficient_pass(
+    m: HarmonicMapSpec, p: Optional[SpiralParams] = None, r: Optional[float] = None
+) -> dict:
+    """Every coefficient result of ``m`` by its report field, from one pass:
+    the n-, (A_n/B)- and (B/A_n)-weighted sums of |a_n| and |b_n| once each,
+    from one weight table.  None: the results that need the angle without
+    ``p``, the necessary ones outside the sign-restricted class, and
+    ``growth`` without ``r`` or when the sufficient test fails."""
+    amag, bmag, order = np.abs(m.a), np.abs(m.b), m.truncation_order
+    n_sum = _weighted_sum(amag, bmag, np.arange(order + 1))
+    sufficient = weighted = growth = None
+    if p is not None:
+        wt = weight_table(p, order)
+        sufficient = _budget_result(_weighted_sum(amag, bmag, wt.sufficient_ratios()), 1.0)
+        if m.signed_form:
+            weighted = _budget_result(_weighted_sum(amag, bmag, wt.necessary_ratios()), 1.0)
+        if r is not None and sufficient.passed:
+            c = wt.b_over_a1()
+            growth = GrowthBounds(lower=(1.0 - c) * r, upper=(1.0 + c) * r, covering_radius=1.0 - c)
+    return dict(
+        silverman=_budget_result(1.0 + n_sum, 2.0),
+        sufficient=sufficient,
+        necessary_weighted=weighted,
+        necessary_sharp=_budget_result(n_sum, 1.0) if m.signed_form else None,
+        growth=growth,
+    )
 
 
 def silverman_check(m: HarmonicMapSpec) -> CheckResult:
@@ -161,15 +198,13 @@ def silverman_check(m: HarmonicMapSpec) -> CheckResult:
     sign-restricted class.  For maps with non-decaying coefficients the sum
     is reported at the truncation order and fails at a finite stage.
     """
-    total = 1.0 + _weighted_sum(m, np.arange(m.truncation_order + 1))
-    return _budget_result(total, 2.0)
+    return _coefficient_pass(m)["silverman"]
 
 
 def sufficient_check(m: HarmonicMapSpec, p: SpiralParams) -> CheckResult:
     """(A_n/B)-weighted coefficient sum; <= 1 certifies hereditary
     spirallikeness at this angle (sums truncated at the map's order)."""
-    total = _weighted_sum(m, weight_table(p, m.truncation_order).sufficient_ratios())
-    return _budget_result(total, 1.0)
+    return _coefficient_pass(m, p)["sufficient"]
 
 
 def necessary_weighted_check(m: HarmonicMapSpec, p: SpiralParams) -> CheckResult:
@@ -179,8 +214,7 @@ def necessary_weighted_check(m: HarmonicMapSpec, p: SpiralParams) -> CheckResult
         raise ClassFormError(
             "the weighted necessary condition is only asserted on sign-restricted maps"
         )
-    total = _weighted_sum(m, weight_table(p, m.truncation_order).necessary_ratios())
-    return _budget_result(total, 1.0)
+    return _coefficient_pass(m, p)["necessary_weighted"]
 
 
 def necessary_sharp_check(m: HarmonicMapSpec) -> CheckResult:
@@ -191,8 +225,23 @@ def necessary_sharp_check(m: HarmonicMapSpec) -> CheckResult:
         raise ClassFormError(
             "the sharp necessary condition is only asserted on sign-restricted maps"
         )
-    total = _weighted_sum(m, np.arange(m.truncation_order + 1))
-    return _budget_result(total, 1.0)
+    return _coefficient_pass(m)["necessary_sharp"]
+
+
+def growth_bounds(m: HarmonicMapSpec, p: SpiralParams, r: float) -> GrowthBounds:
+    """Sharp modulus bounds on |z| = r for maps passing the sufficient test.
+
+    Raises :class:`HypothesisError` when the sufficient test fails, since
+    the bounds are only asserted under it.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError("radius must lie in [0, 1)")
+    checks = _coefficient_pass(m, p, r)
+    if checks["growth"] is None:
+        raise HypothesisError(
+            f"growth bounds need the sufficient test to pass (sum = {checks['sufficient'].value:.6g})"
+        )
+    return checks["growth"]
 
 
 # ------------------------------------------------------------ pointwise checks
@@ -273,32 +322,6 @@ def spiral_margin_on_grid(
 ) -> ScanResult:
     """Minimum of the two-modulus margin over the annulus grid."""
     return GridField(m, grid, p.phase).margin
-
-
-@dataclass(frozen=True)
-class GrowthBounds:
-    """Modulus bounds (1 -+ B/A_1) r and the covering radius 1 - B/A_1."""
-
-    lower: float
-    upper: float
-    covering_radius: float
-
-
-def growth_bounds(m: HarmonicMapSpec, p: SpiralParams, r: float) -> GrowthBounds:
-    """Sharp modulus bounds on |z| = r for maps passing the sufficient test.
-
-    Raises :class:`HypothesisError` when the sufficient test fails, since
-    the bounds are only asserted under it.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    check = sufficient_check(m, p)
-    if not check.passed:
-        raise HypothesisError(
-            f"growth bounds need the sufficient test to pass (sum = {check.value:.6g})"
-        )
-    c = weight_table(p, m.truncation_order).b_over_a1()
-    return GrowthBounds(lower=(1.0 - c) * r, upper=(1.0 + c) * r, covering_radius=1.0 - c)
 
 
 @dataclass(frozen=True)
@@ -511,7 +534,8 @@ def axis_profile(m: HarmonicMapSpec, r):
     Re(e^{-i lam} Df(r)/f(r)) = cos(lam) (1 - psi(r)) / phi(r) there.
     """
     rarr = np.asarray(r, dtype=np.float64)
-    amag, bmag, na, nb = _tail_magnitudes(m)
+    amag, bmag = np.abs(m.a), np.abs(m.b)
+    na, nb = _ab_rows(np.arange(m.truncation_order + 1), m.truncation_order)
     ra = rarr[..., None] ** (na - 1)
     rb = rarr[..., None] ** (nb - 1)
     phi = 1.0 - ra @ amag + rb @ bmag
@@ -528,8 +552,8 @@ def axis_profile(m: HarmonicMapSpec, r):
 class VerificationReport:
     """Structured outcome of every applicable check on one map.
 
-    Pointwise results are sampled on ``grid`` and flagged as such; pass
-    flags are pure functions of the reported numbers and the margins used.
+    Pointwise results are sampled on ``grid``; pass flags are pure
+    functions of the reported numbers and the margins used.
     A check that is not applicable reads None: the necessary checks outside
     the sign-restricted class, the growth bounds when the sufficient test
     fails, and ``pointwise`` with ``inequality_sides`` when a near-zero |f|
@@ -539,7 +563,6 @@ class VerificationReport:
     lam: float
     truncation_order: int
     grid: GridSpec
-    sampled: bool
     silverman: CheckResult
     sufficient: CheckResult
     necessary_weighted: Optional[CheckResult]
@@ -552,50 +575,27 @@ class VerificationReport:
     growth: Optional[GrowthBounds]
 
     def all_passed(self) -> bool:
-        checks = [
-            self.silverman.passed,
-            self.sufficient.passed,
-            self.sense_preserving.passed,
-            self.nonvanishing.passed,
-        ]
-        if self.necessary_weighted is not None:
-            checks.append(self.necessary_weighted.passed)
-        if self.necessary_sharp is not None:
-            checks.append(self.necessary_sharp.passed)
-        checks.append(self.pointwise.passed if self.pointwise else False)
-        checks.append(self.margin.passed)
-        return all(checks)
+        """Every applicable check passes, and the spiral quotient is applicable."""
+        checks = (self.silverman, self.sufficient, self.necessary_weighted, self.necessary_sharp,
+                  self.sense_preserving, self.nonvanishing, self.pointwise, self.margin)
+        return self.pointwise is not None and all(c.passed for c in checks if c is not None)
 
 
 def run_all_checks(
     m: HarmonicMapSpec, p: SpiralParams, grid: GridSpec = GridSpec()
 ) -> VerificationReport:
     """Run every applicable check and assemble the report."""
-    silverman = silverman_check(m)
-    sufficient = sufficient_check(m, p)
-    if m.signed_form:
-        necessary_weighted = necessary_weighted_check(m, p)
-        necessary_sharp = necessary_sharp_check(m)
-    else:
-        necessary_weighted = None
-        necessary_sharp = None
     field = GridField(m, grid, p.phase)
     pointwise = field.pointwise
     sides = None if pointwise is None else spiral_inequality_sides(m, p, pointwise.witness)
-    growth = growth_bounds(m, p, grid.r_max) if sufficient.passed else None
     return VerificationReport(
         lam=p.lam,
         truncation_order=m.truncation_order,
         grid=grid,
-        sampled=True,
-        silverman=silverman,
-        sufficient=sufficient,
-        necessary_weighted=necessary_weighted,
-        necessary_sharp=necessary_sharp,
         sense_preserving=field.sense_preserving,
         nonvanishing=field.nonvanishing,
         pointwise=pointwise,
         inequality_sides=sides,
         margin=field.margin,
-        growth=growth,
+        **_coefficient_pass(m, p, grid.r_max),
     )

@@ -577,7 +577,40 @@ def test_construct_refuses_options_its_builder_does_not_read(builder, option, id
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {option}" in err
+    assert err.startswith(f"usage: spiralmaps construct {builder} ")  # the builder's own usage
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["verify", "map.json"], "verify"),
+    (["weights", "--lambda", "0.3", "--n", "4"], "weights"),
+    (["plot", "map.json"], "plot"),
+    (["catalog", "list"], "catalog list"),
+    (["catalog", "emit", "koebe"], "catalog emit"),
+])
+def test_unknown_option_prints_the_command_usage(argv, prog, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--bogus"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: spiralmaps {prog} ")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_power_transform_truncation_of_a_map_file_is_a_usage_error(tmp_path, capsys):
+    # --truncation sets the order of a catalog --g; a map file has its own.
+    g_path, out_path = tmp_path / "g6.json", tmp_path / "map.json"
+    rc, _, _ = run_cli(["catalog", "emit", "identity", "--truncation", "6", "--out", str(g_path)], capsys)
+    assert rc == 0
+    rc, out, err = run_cli(["construct", "power-transform", "--g", str(g_path), "--lambda", "0.3",
+                            "--truncation", "3", "--out", str(out_path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --truncation ") and str(g_path) in err
+    assert not out_path.exists()
+    # Without --truncation the file's order is the transform's.
+    rc, _, _ = run_cli(["construct", "power-transform", "--g", str(g_path), "--lambda", "0.3",
+                        "--out", str(out_path)], capsys)
+    assert rc == 0 and parse_map_document(out_path.read_text()).truncation == 6
 
 
 def test_multiplier_takes_dn_max_or_d_not_both(identity_file, tmp_path, capsys):

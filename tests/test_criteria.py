@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralmaps.construct import catalog, extremal_family, random_signed_map, random_sufficient_map
+from spiralmaps.cli import report_lines
 from spiralmaps.criteria import (
     MAX_EPS_SAMPLES,
     ClassFormError,
@@ -421,7 +422,7 @@ class TestReport:
         assert rep.sufficient.value == 0.0
         assert rep.necessary_weighted is not None  # identity is sign-restricted
         assert rep.growth is not None
-        assert rep.sampled
+        assert "pointwise_method = sampled" in report_lines(rep)
 
     def test_failing_map_report(self):
         rep = run_all_checks(catalog("f1", alpha=-0.5), PI4, GridSpec(n_radii=6, n_angles=32))
@@ -469,3 +470,54 @@ class TestReport:
         assert rep.pointwise is None
         assert not rep.nonvanishing.passed
         assert not rep.all_passed()
+
+
+class TestCoefficientPass:
+    """The report's coefficient results come from one pass over |a_n|, |b_n|."""
+
+    @pytest.mark.parametrize("order", [1, 8, 64, 512])
+    def test_report_equals_the_standalone_checks(self, order):
+        rng = np.random.default_rng(order)
+        grid = GridSpec(n_radii=2, n_angles=8)
+        for lam in (0.0, 0.3, -0.3, 1.55, -1.55):
+            p = SpiralParams(lam)
+            # A signed and an unsigned map, each also scaled past the
+            # sufficient budget, so that growth is None there.
+            for make in (random_signed_map, random_sufficient_map):
+                base = make(rng, p, order=order)
+                for scale in (1.0, 2.5):
+                    m = HarmonicMapSpec(a=scale * base.a, b=scale * base.b, truncation_order=order,
+                                        signed_form=base.signed_form)
+                    rep = run_all_checks(m, p, grid)
+                    assert rep.silverman == silverman_check(m)
+                    assert rep.sufficient == sufficient_check(m, p)
+                    if m.signed_form:
+                        assert rep.necessary_weighted == necessary_weighted_check(m, p)
+                        assert rep.necessary_sharp == necessary_sharp_check(m)
+                    else:
+                        assert rep.necessary_weighted is None and rep.necessary_sharp is None
+                    if rep.sufficient.passed:
+                        assert rep.growth == growth_bounds(m, p, grid.r_max)
+                    else:
+                        assert rep.growth is None and scale > 1.0
+                        with pytest.raises(HypothesisError):
+                            growth_bounds(m, p, grid.r_max)
+
+    def test_one_weight_table_and_each_sum_once_per_report(self, rng, monkeypatch):
+        import spiralmaps.criteria as criteria_mod
+
+        tables, rows = [], []
+        table, weighted_sum = criteria_mod.weight_table, criteria_mod._weighted_sum
+        monkeypatch.setattr(criteria_mod, "weight_table", lambda *a: tables.append(a) or table(*a))
+        monkeypatch.setattr(criteria_mod, "_weighted_sum",
+                            lambda amag, bmag, row: rows.append(row) or weighted_sum(amag, bmag, row))
+        p = SpiralParams(0.3)
+        wt = table(p, 64)
+        want = [np.arange(65), wt.sufficient_ratios(), wt.necessary_ratios()]  # n, A_n/B, B/A_n
+        for m, sums in ((random_signed_map(rng, p, order=64), 3),
+                        (random_sufficient_map(rng, p, order=64), 2)):
+            tables.clear(), rows.clear()
+            run_all_checks(m, p, GridSpec(n_radii=4, n_angles=16))
+            assert tables == [(p, 64)]
+            assert len(rows) == sums
+            assert all(np.array_equal(r, w, equal_nan=True) for r, w in zip(rows, want))

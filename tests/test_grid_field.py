@@ -1268,3 +1268,29 @@ def test_closed_forms_are_evaluated_below_numpy_in_place_size(monkeypatch, n_rad
             assert sizes == [grid.n_radii * n_angles]
         eps_outcome(lambda: epsilon_starlike_check(m, grid, n_eps=8))
         assert all(n < BLOCK_POINTS or n == n_angles for n in sizes), sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sufficient", "signed", "scaled"]), st.integers(0, 2**32 - 1),
+       st.integers(1, 200), st.sampled_from([8, 24, 64, 256]), st.integers(1, 255),
+       st.floats(-1.2, 1.2))
+def test_rotating_a_map_by_grid_steps_keeps_every_minimum(kind, seed, order, n_angles, k, lam):
+    # e^{-i theta} f(e^{i theta} z) has a_n e^{i(n-1) theta} and b_n e^{i(n+1) theta}:
+    # it takes f's values on the grid rotated by k steps, so each minimum is
+    # the same up to rounding.  Witnesses are not compared: they move at near-ties.
+    rng, p = np.random.default_rng(seed), SpiralParams(lam)
+    m = (random_signed_map if kind == "signed" else random_sufficient_map)(rng, p, order=order)
+    scale = rng.uniform(1.0, 3.0) if kind == "scaled" else 1.0  # past the sufficient budget
+    theta = 2 * math.pi * (k % n_angles) / n_angles
+    n = np.arange(order + 1)
+    rotated = HarmonicMapSpec(a=scale * m.a * np.exp(1j * (n[2:] - 1) * theta),
+                              b=scale * m.b * np.exp(1j * (n[1:] + 1) * theta), truncation_order=order)
+    m = HarmonicMapSpec(a=scale * m.a, b=scale * m.b, truncation_order=order)
+    grid = GridSpec(n_radii=8, n_angles=n_angles)
+    size = ((1 + n) * (np.abs(m.h_coefficients()) + np.abs(m.g_coefficients())) * grid.r_max**n).sum()
+    one, two = GridField(m, grid, p.phase), GridField(rotated, grid, p.phase)
+    for key in ("sense_preserving", "nonvanishing", "pointwise", "margin"):
+        a, b = getattr(one, key), getattr(two, key)
+        assert (a is None) == (b is None), key
+        if a is not None:
+            assert abs(a.min_value - b.min_value) <= 1e-13 * size, (key, a.min_value, b.min_value)
