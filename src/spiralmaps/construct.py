@@ -28,7 +28,6 @@ from .harmonic import (
     HarmonicMapSpec,
     _block_rings,
     grid_axes,
-    identity_map,
     ring_bounds,
     ring_values,
     signed_shape,
@@ -87,6 +86,8 @@ class CombinationWeights:
         y = np.asarray(self.Y, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size == 0:
             raise ValueError("weights must be two equal-length flat sequences")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("non-finite combination weight rejected")
         if np.any(x < -1e-12) or np.any(y < -1e-12):
             raise ValueError("combination weights must be nonnegative")
         total = float(x.sum() + y.sum())
@@ -115,8 +116,11 @@ def extremal_family(x, y, p: SpiralParams, order: int | None = None) -> Harmonic
     if budget > 1.0 + 1e-12:
         raise ConstraintError(f"weight budget sum|x| + sum|y| = {budget:.6g} exceeds 1")
     if order is None:
-        order = max(x.size + 1, y.size, 1)
-    ra, rb = _ab_rows(weight_table(p, max(order, 1)).necessary_ratios(), order)  # B/A_n
+        order = max(x.size + 1, y.size)
+    # Weights past the order are formed too, so that HarmonicMapSpec names
+    # the overflow rather than numpy a broadcast.
+    n = max(order, x.size + 1, y.size)
+    ra, rb = _ab_rows(weight_table(p, n).necessary_ratios(), n)  # B/A_n
     a = x * ra[: x.size]
     b = y * rb[: y.size]
     return HarmonicMapSpec(
@@ -128,7 +132,8 @@ def convex_combination(
     w: CombinationWeights, p: SpiralParams, sign: int = 1
 ) -> HarmonicMapSpec:
     """Convex combination of the basis maps z + sign (B/A_n) z^n and
-    z + (B/A_n) conj(z^n).
+    z + (B/A_n) conj(z^n): the :func:`extremal_family` member with
+    x_n = sign X_n and y_n = Y_n.
 
     The weight X_1 multiplies the identity.  The output's sufficient-test
     sum is 1 - X_1 <= 1; with sign = -1 it lands in the sign-restricted
@@ -136,13 +141,7 @@ def convex_combination(
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    n_max = w.n_max
-    ra, rb = _ab_rows(weight_table(p, n_max).necessary_ratios(), n_max)
-    a = sign * w.X[1:] * ra
-    b = w.Y * rb
-    return HarmonicMapSpec(
-        a=a, b=b, truncation_order=n_max, signed_form=signed_shape(a, b)
-    )
+    return extremal_family(sign * w.X[1:], w.Y, p, order=w.n_max)
 
 
 def decompose(m: HarmonicMapSpec, p: SpiralParams) -> CombinationWeights:
@@ -437,12 +436,6 @@ def transform_family_check(
 # -------------------------------------------------------------------- catalog
 
 
-def _require_angle(name: str, p: SpiralParams | None) -> SpiralParams:
-    if p is None:
-        raise ValueError(f"catalog entry {name!r} needs a spiral angle")
-    return p
-
-
 def _require_alpha(name: str, alpha) -> complex:
     if alpha is None:
         raise ValueError(f"catalog entry {name!r} needs the parameter alpha")
@@ -452,71 +445,84 @@ def _require_alpha(name: str, alpha) -> complex:
     return al
 
 
-def _koebe_closed_form() -> ClosedForm:
-    zero = lambda z: np.zeros_like(z)
-    return ClosedForm(
-        name="koebe",
-        h=lambda z: z / (1.0 - z) ** 2,
-        g=zero,
-        dh=lambda z: (1.0 + z) / (1.0 - z) ** 3,
-        dg=zero,
-    )
-
-
 def _curve_power(z: np.ndarray, gamma: complex) -> np.ndarray:
     return np.exp(gamma * np.log(1.0 - z))
 
 
-def _spiral_slit_closed_form() -> ClosedForm:
-    # h(z) = z (1-z)^(i-1); h'(z) = (1 - i z)(1-z)^(i-2).
-    zero = lambda z: np.zeros_like(z)
-    return ClosedForm(
-        name="f4",
-        h=lambda z: z * _curve_power(z, 1j - 1.0),
-        g=zero,
-        dh=lambda z: (1.0 - 1j * z) * _curve_power(z, 1j - 2.0),
-        dg=zero,
-    )
+_KOEBE = ClosedForm(
+    name="koebe",
+    h=lambda z: z / (1.0 - z) ** 2,
+    g=np.zeros_like,
+    dh=lambda z: (1.0 + z) / (1.0 - z) ** 3,
+    dg=np.zeros_like,
+)
+# h(z) = z (1-z)^(i-1); h'(z) = (1 - i z)(1-z)^(i-2).
+_SPIRAL_SLIT = ClosedForm(
+    name="f4",
+    h=lambda z: z * _curve_power(z, 1j - 1.0),
+    g=np.zeros_like,
+    dh=lambda z: (1.0 - 1j * z) * _curve_power(z, 1j - 2.0),
+    dg=np.zeros_like,
+)
+_HARMONIC_KOEBE = ClosedForm(
+    name="harmonic_koebe",
+    h=lambda z: (z - z**2 / 2 + z**3 / 6) / (1.0 - z) ** 3,
+    g=lambda z: (z**2 / 2 + z**3 / 6) / (1.0 - z) ** 3,
+    dh=lambda z: ((1.0 - z + z**2 / 2) * (1.0 - z) + 3.0 * (z - z**2 / 2 + z**3 / 6)) / (1.0 - z) ** 4,
+    dg=lambda z: ((z + z**2 / 2) * (1.0 - z) + 3.0 * (z**2 / 2 + z**3 / 6)) / (1.0 - z) ** 4,
+)
+_HALF_PLANE = ClosedForm(
+    name="half_plane",
+    h=lambda z: (z - z**2 / 2) / (1.0 - z) ** 2,
+    g=lambda z: (-(z**2) / 2) / (1.0 - z) ** 2,
+    dh=lambda z: 1.0 / (1.0 - z) ** 3,
+    dg=lambda z: -z / (1.0 - z) ** 3,
+)
 
 
-def _harmonic_koebe_closed_form() -> ClosedForm:
-    def h(z):
-        return (z - z**2 / 2 + z**3 / 6) / (1.0 - z) ** 3
-
-    def g(z):
-        return (z**2 / 2 + z**3 / 6) / (1.0 - z) ** 3
-
-    def dh(z):
-        p = z - z**2 / 2 + z**3 / 6
-        return ((1.0 - z + z**2 / 2) * (1.0 - z) + 3.0 * p) / (1.0 - z) ** 4
-
-    def dg(z):
-        q = z**2 / 2 + z**3 / 6
-        return ((z + z**2 / 2) * (1.0 - z) + 3.0 * q) / (1.0 - z) ** 4
-
-    return ClosedForm(name="harmonic_koebe", h=h, g=g, dh=dh, dg=dg)
+def _spiral_slit_coeffs(al, n):
+    return pow_series(PowerSeries([1.0, -1.0], order=n - 1), 1j - 1.0).coeffs[1:], []
 
 
-def _half_plane_closed_form() -> ClosedForm:
-    def h(z):
-        return (z - z**2 / 2) / (1.0 - z) ** 2
-
-    def g(z):
-        return (-(z**2) / 2) / (1.0 - z) ** 2
-
-    return ClosedForm(
-        name="half_plane",
-        h=h,
-        g=g,
-        dh=lambda z: 1.0 / (1.0 - z) ** 3,
-        dg=lambda z: -z / (1.0 - z) ** 3,
-    )
+def _harmonic_koebe_coeffs(al, n):
+    na, nb = _ab_rows(np.arange(n + 1.0), n)
+    return (2 * na + 1) * (na + 1) / 6.0, (nb - 1) * (2 * nb - 1) / 6.0
 
 
-def _or_default(order: int | None, default: int) -> int:
-    """``order``, or the entry's ``default`` when it is None: an order of 0
-    is refused like any other below 1, not taken for the default."""
-    return default if order is None else order
+def _half_plane_coeffs(al, n):
+    na, nb = _ab_rows(np.arange(n + 1.0), n)
+    return (na + 1) / 2.0, -(nb - 1) / 2.0
+
+
+def _f5_weights(al, n):
+    if abs(al.imag) > 0 or not 0.0 < al.real < 1.0:
+        raise ValueError("f5 needs a real alpha in (0, 1)")
+    return [], [al.real, 1.0 - al.real]
+
+
+#: Every catalog entry, once: (the parameters it takes, its default order,
+#: ``coefficients(alpha, order) -> (a, b)``, its closed form or None).  An
+#: entry that takes lambda gives extremal weights x, y instead of a, b, and
+#: is the :func:`extremal_family` member a_n = (B/A_n) x_n, b_n = (B/A_n) y_n
+#: at the angle.
+_CATALOG = {
+    "identity": ((), 1, lambda al, n: ([], []), None),
+    "f1": (("alpha",), 1, lambda al, n: ([], [np.conj(al)]), None),
+    "f2": (("alpha", "lambda"), 2, lambda al, n: ([], [0.0, np.conj(al)]), None),
+    "f3": (("alpha", "lambda"), 3, lambda al, n: ([], [np.conj(al), 0.0, 1.0 - abs(al)]), None),
+    "f4": ((), DEFAULT_ORDER, _spiral_slit_coeffs, _SPIRAL_SLIT),
+    "f5": (("alpha", "lambda"), 2, _f5_weights, None),
+    "f6": (("lambda",), 1, lambda al, n: ([], [-1.0]), None),
+    "f7": (("lambda",), 1, lambda al, n: ([], [1.0]), None),
+    "koebe": ((), DEFAULT_ORDER, lambda al, n: (np.arange(2, n + 1, dtype=np.float64), []), _KOEBE),
+    "harmonic_koebe": ((), DEFAULT_ORDER, _harmonic_koebe_coeffs, _HARMONIC_KOEBE),
+    "half_plane": ((), DEFAULT_ORDER, _half_plane_coeffs, _HALF_PLANE),
+}
+
+#: f6 has b_1 < 0, outside :func:`signed_shape`, yet keeps the signed form:
+#: it is a rotation of f7, and every gated check reads magnitudes only.
+#: Whether a b_n < 0 belongs in the class is open (ROADMAP item 3).
+_SIGNED_DESPITE_SHAPE = ("f6",)
 
 
 def catalog(
@@ -525,115 +531,42 @@ def catalog(
     alpha=None,
     order: int | None = None,
 ) -> HarmonicMapSpec:
-    """Build a named example map.
+    """Build a named example map from its one entry in ``_CATALOG``.
 
     Entries with non-decaying coefficients (f4, koebe, harmonic_koebe,
     half_plane) carry closed-form evaluators; polynomial entries are exact
-    as series.  ``p`` supplies the spiral angle for the weight-dependent
+    as series.  ``p`` supplies the spiral angle of the extremal-family
     entries (f2, f3, f5, f6, f7), ``alpha`` the disk parameter where one
-    appears.
+    appears.  ``order`` defaults to the entry's own; an order of 0 is
+    refused like any other below 1, not taken for the default.
     """
     key = name.lower()
-    if key == "identity":
-        return identity_map(_or_default(order, 1))
-    if key == "f1":
-        al = _require_alpha(name, alpha)
-        return HarmonicMapSpec(
-            a=[], b=[np.conj(al)], truncation_order=_or_default(order, 1),
-            signed_form=signed_shape([], [np.conj(al)]),
+    if key not in _CATALOG:
+        raise KeyError(
+            f"unknown catalog entry {name!r}; valid names: {', '.join(catalog_names())}"
         )
-    if key == "f2":
-        al = _require_alpha(name, alpha)
-        wt = weight_table(_require_angle(name, p), 2)
-        b2 = np.conj(al) * wt.necessary_ratios()[2]
+    params, default, coefficients, closed_form = _CATALOG[key]
+    n = default if order is None else order
+    a, b = coefficients(_require_alpha(name, alpha) if "alpha" in params else None, n)
+    if "lambda" not in params:  # a closed form is never signed, even where order 1 fits the shape
         return HarmonicMapSpec(
-            a=[], b=[0.0, b2], truncation_order=_or_default(order, 2),
-            signed_form=signed_shape([], [0.0, b2]),
+            a=a, b=b, truncation_order=n, closed_form=closed_form,
+            signed_form=closed_form is None and signed_shape(a, b),
         )
-    if key == "f3":
-        al = _require_alpha(name, alpha)
-        wt = weight_table(_require_angle(name, p), 3)
-        ratios = wt.necessary_ratios()
-        b = [np.conj(al) * ratios[1], 0.0, (1.0 - abs(al)) * ratios[3]]
-        return HarmonicMapSpec(
-            a=[], b=b, truncation_order=_or_default(order, 3), signed_form=signed_shape([], b)
-        )
-    if key == "f4":
-        n = _or_default(order, DEFAULT_ORDER)
-        tail = pow_series(PowerSeries([1.0, -1.0], order=n - 1), 1j - 1.0)
-        return HarmonicMapSpec(
-            a=tail.coeffs[1:], b=[], truncation_order=n,
-            signed_form=False, closed_form=_spiral_slit_closed_form(),
-        )
-    if key == "f5":
-        al = _require_alpha(name, alpha)
-        if abs(al.imag) > 0 or not 0.0 < al.real < 1.0:
-            raise ValueError("f5 needs a real alpha in (0, 1)")
-        wt = weight_table(_require_angle(name, p), 2)
-        ratios = wt.necessary_ratios()
-        b = [al.real * ratios[1], (1.0 - al.real) * ratios[2]]
-        return HarmonicMapSpec(
-            a=[], b=b, truncation_order=_or_default(order, 2), signed_form=True
-        )
-    if key == "f6":
-        wt = weight_table(_require_angle(name, p), 1)
-        # b_1 < 0: a rotation of f7, admitted into the signed form because
-        # every gated check consumes magnitudes only.
-        return HarmonicMapSpec(
-            a=[], b=[-wt.b_over_a1()], truncation_order=_or_default(order, 1), signed_form=True
-        )
-    if key == "f7":
-        wt = weight_table(_require_angle(name, p), 1)
-        return HarmonicMapSpec(
-            a=[], b=[wt.b_over_a1()], truncation_order=_or_default(order, 1), signed_form=True
-        )
-    if key == "koebe":
-        n = _or_default(order, DEFAULT_ORDER)
-        return HarmonicMapSpec(
-            a=np.arange(2, n + 1, dtype=np.float64), b=[], truncation_order=n,
-            signed_form=False, closed_form=_koebe_closed_form(),
-        )
-    if key == "harmonic_koebe":
-        n = _or_default(order, DEFAULT_ORDER)
-        na, nb = _ab_rows(np.arange(n + 1.0), n)
-        a = (2 * na + 1) * (na + 1) / 6.0
-        b = (nb - 1) * (2 * nb - 1) / 6.0
-        return HarmonicMapSpec(
-            a=a, b=b, truncation_order=n, signed_form=False,
-            closed_form=_harmonic_koebe_closed_form(),
-        )
-    if key == "half_plane":
-        n = _or_default(order, DEFAULT_ORDER)
-        na, nb = _ab_rows(np.arange(n + 1.0), n)
-        a = (na + 1) / 2.0
-        b = -(nb - 1) / 2.0
-        return HarmonicMapSpec(
-            a=a, b=b, truncation_order=n, signed_form=False,
-            closed_form=_half_plane_closed_form(),
-        )
-    raise KeyError(
-        f"unknown catalog entry {name!r}; valid names: {', '.join(catalog_names())}"
-    )
+    if p is None:
+        raise ValueError(f"catalog entry {name!r} needs a spiral angle")
+    m = extremal_family(a, b, p, order=n)
+    if key in _SIGNED_DESPITE_SHAPE:  # m is new and unshared: set, not rebuilt
+        object.__setattr__(m, "signed_form", True)
+    return m
 
 
 def catalog_names() -> list[str]:
-    return list(CATALOG_PARAMS)
+    return list(_CATALOG)
 
 
 #: Catalog parameters each entry accepts, for CLI help and validation.
-CATALOG_PARAMS = {
-    "identity": (),
-    "f1": ("alpha",),
-    "f2": ("alpha", "lambda"),
-    "f3": ("alpha", "lambda"),
-    "f4": (),
-    "f5": ("alpha", "lambda"),
-    "f6": ("lambda",),
-    "f7": ("lambda",),
-    "koebe": (),
-    "harmonic_koebe": (),
-    "half_plane": (),
-}
+CATALOG_PARAMS = {name: entry[0] for name, entry in _CATALOG.items()}
 
 
 # --------------------------------------------------------- random generators

@@ -121,13 +121,11 @@ class HarmonicMapSpec:
         a = _pad_coeffs(self.a, n - 1, "analytic-part")
         b = _pad_coeffs(self.b, n, "co-analytic-part")
         if self.signed_form:
-            if np.any(np.abs(a.imag) > SIGN_SHAPE_TOL) or np.any(
-                a.real > SIGN_SHAPE_TOL
-            ):
+            if (abs(a.imag) > SIGN_SHAPE_TOL).any() or (a.real > SIGN_SHAPE_TOL).any():
                 raise ValueError(
                     "signed form requires real nonpositive analytic-part coefficients"
                 )
-            if np.any(np.abs(b.imag) > SIGN_SHAPE_TOL):
+            if (abs(b.imag) > SIGN_SHAPE_TOL).any():
                 raise ValueError("signed form requires real co-analytic coefficients")
         a.flags.writeable = False
         b.flags.writeable = False
@@ -167,10 +165,10 @@ def signed_shape(a, b) -> bool:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     return bool(
-        np.all(np.abs(a.imag) <= SIGN_SHAPE_TOL)
-        and np.all(a.real <= SIGN_SHAPE_TOL)
-        and np.all(np.abs(b.imag) <= SIGN_SHAPE_TOL)
-        and np.all(b.real >= -SIGN_SHAPE_TOL)
+        (abs(a.imag) <= SIGN_SHAPE_TOL).all()
+        and (a.real <= SIGN_SHAPE_TOL).all()
+        and (abs(b.imag) <= SIGN_SHAPE_TOL).all()
+        and (b.real >= -SIGN_SHAPE_TOL).all()
     )
 
 

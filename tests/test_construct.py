@@ -73,6 +73,17 @@ class TestExtremalFamily:
         with pytest.raises(ConstraintError):
             extremal_family([0.7], [0.7], PI4, order=2)
 
+    def test_weights_past_the_order_are_named_by_the_map(self):
+        # Not numpy's broadcast error: the map's own message, as for any
+        # coefficients that do not fit, and so for a catalog entry below its degree.
+        p = SpiralParams(0.3)
+        with pytest.raises(ValueError, match=r"^co-analytic-part .* \(3 entries, room for 2\)$"):
+            extremal_family([], [0.1, 0.2, 0.3], p, order=2)
+        with pytest.raises(ValueError, match=r"^analytic-part .* \(2 entries, room for 1\)$"):
+            extremal_family([0.1, 0.2], [0.1], p, order=2)
+        with pytest.raises(ValueError, match=r"^co-analytic-part .* \(3 entries, room for 2\)$"):
+            catalog("f3", p, alpha=0.5, order=2)
+
 
 class TestConvexCombination:
     def test_pure_identity(self):
@@ -110,6 +121,11 @@ class TestConvexCombination:
             CombinationWeights(X=[0.5], Y=[0.4])  # sums to 0.9
         with pytest.raises(ValueError):
             CombinationWeights(X=[-0.1, 0.6], Y=[0.5, 0.0])
+        # NaN passes both the sign and the sum comparison, so it is refused on its own.
+        for bad in (math.nan, math.inf, -math.inf):
+            for X, Y in (([bad, 0.5], [0.5, 0.0]), ([0.5, 0.0], [0.5, bad])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    CombinationWeights(X=X, Y=Y)
 
 
 class TestDecompose:

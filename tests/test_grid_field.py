@@ -1270,27 +1270,63 @@ def test_closed_forms_are_evaluated_below_numpy_in_place_size(monkeypatch, n_rad
         assert all(n < BLOCK_POINTS or n == n_angles for n in sizes), sizes
 
 
+def symmetry_input(kind: str, seed: int, order: int, lam: float) -> HarmonicMapSpec:
+    """A map drawn from ``seed``: one passing the sufficient test, one in the
+    signed class, or one scaled past the sufficient budget."""
+    rng = np.random.default_rng(seed)
+    m = (random_signed_map if kind == "signed" else random_sufficient_map)(rng, SpiralParams(lam), order=order)
+    scale = rng.uniform(1.0, 3.0) if kind == "scaled" else 1.0
+    return HarmonicMapSpec(a=scale * m.a, b=scale * m.b, truncation_order=order)
+
+
+def assert_same_minima(m: HarmonicMapSpec, one: GridField, two: GridField) -> None:
+    """Each scan of ``one`` and ``two`` has the same minimum up to rounding:
+    1e-13 times the size of m's fields at r_max, and for the quotient
+    Re(e^{-i lam} Df/f), whose rounding grows like 1/|f|, that times
+    (1 + |q|) / min |f|."""
+    n = np.arange(m.truncation_order + 1)
+    size = ((1 + n) * (np.abs(m.h_coefficients()) + np.abs(m.g_coefficients())) * one.grid.r_max**n).sum()
+    for key in ("sense_preserving", "nonvanishing", "pointwise", "margin"):
+        a, b = getattr(one, key), getattr(two, key)
+        assert (a is None) == (b is None), key
+        if a is None:
+            continue
+        bound = 1e-13 * size
+        if key == "pointwise":  # not None, so min |f| > margin_eps
+            bound *= (1 + abs(a.min_value)) / min(one.nonvanishing.min_value, two.nonvanishing.min_value)
+        assert abs(a.min_value - b.min_value) <= bound, (key, a.min_value, b.min_value)
+
+
+SYMMETRY_KINDS = st.sampled_from(["sufficient", "signed", "scaled"])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["sufficient", "signed", "scaled"]), st.integers(0, 2**32 - 1),
-       st.integers(1, 200), st.sampled_from([8, 24, 64, 256]), st.integers(1, 255),
-       st.floats(-1.2, 1.2))
+@given(SYMMETRY_KINDS, st.integers(0, 2**32 - 1), st.integers(1, 200),
+       st.sampled_from([8, 24, 64, 256]), st.integers(1, 255), st.floats(-1.2, 1.2))
+@example(kind="scaled", seed=217, order=1, n_angles=256, k=217, lam=0.0)  # min |f| = 6.6e-5
 def test_rotating_a_map_by_grid_steps_keeps_every_minimum(kind, seed, order, n_angles, k, lam):
     # e^{-i theta} f(e^{i theta} z) has a_n e^{i(n-1) theta} and b_n e^{i(n+1) theta}:
     # it takes f's values on the grid rotated by k steps, so each minimum is
     # the same up to rounding.  Witnesses are not compared: they move at near-ties.
-    rng, p = np.random.default_rng(seed), SpiralParams(lam)
-    m = (random_signed_map if kind == "signed" else random_sufficient_map)(rng, p, order=order)
-    scale = rng.uniform(1.0, 3.0) if kind == "scaled" else 1.0  # past the sufficient budget
+    m, phase = symmetry_input(kind, seed, order, lam), SpiralParams(lam).phase
     theta = 2 * math.pi * (k % n_angles) / n_angles
     n = np.arange(order + 1)
-    rotated = HarmonicMapSpec(a=scale * m.a * np.exp(1j * (n[2:] - 1) * theta),
-                              b=scale * m.b * np.exp(1j * (n[1:] + 1) * theta), truncation_order=order)
-    m = HarmonicMapSpec(a=scale * m.a, b=scale * m.b, truncation_order=order)
+    rotated = HarmonicMapSpec(a=m.a * np.exp(1j * (n[2:] - 1) * theta),
+                              b=m.b * np.exp(1j * (n[1:] + 1) * theta), truncation_order=order)
     grid = GridSpec(n_radii=8, n_angles=n_angles)
-    size = ((1 + n) * (np.abs(m.h_coefficients()) + np.abs(m.g_coefficients())) * grid.r_max**n).sum()
-    one, two = GridField(m, grid, p.phase), GridField(rotated, grid, p.phase)
-    for key in ("sense_preserving", "nonvanishing", "pointwise", "margin"):
-        a, b = getattr(one, key), getattr(two, key)
-        assert (a is None) == (b is None), key
-        if a is not None:
-            assert abs(a.min_value - b.min_value) <= 1e-13 * size, (key, a.min_value, b.min_value)
+    assert_same_minima(m, GridField(m, grid, phase), GridField(rotated, grid, phase))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SYMMETRY_KINDS, st.integers(0, 2**32 - 1), st.integers(1, 200),
+       st.sampled_from([8, 24, 64, 256]), st.floats(-1.2, 1.2))
+def test_conjugating_a_map_and_its_angle_keeps_every_minimum(kind, seed, order, n_angles, lam):
+    # conj(f(conj z)) has coefficients conj(a_n), conj(b_n), and its spiral
+    # quotient at -lam is the conjugate of f's at lam, taken at conj z.  The
+    # grid is symmetric under conjugation, so each minimum is the same up to
+    # rounding.
+    m = symmetry_input(kind, seed, order, lam)
+    mirrored = HarmonicMapSpec(a=np.conj(m.a), b=np.conj(m.b), truncation_order=order)
+    grid = GridSpec(n_radii=8, n_angles=n_angles)
+    assert_same_minima(m, GridField(m, grid, SpiralParams(lam).phase),
+                       GridField(mirrored, grid, SpiralParams(-lam).phase))
