@@ -22,9 +22,11 @@ Each construct builder accepts only the options listed for it, spelled out
 in full: any other option is a usage error with the builder's usage line.
 The power transform's --truncation sets the order of a catalog --g only.
 
-Exit codes: 0 all applicable checks passed (or output written), 1 a check
-failed, 2 usage or parse errors.  All numeric output uses 9 significant
-digits so identical inputs give identical bytes.
+Exit codes: 0 all applicable checks passed (or output written); 1 a check
+failed, a constraint was violated, a denominator came near zero or an
+output number overflowed; 2 any other error: a refused option, value or
+map file, or a file that cannot be read or written.  All numeric output
+uses 9 significant digits so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .construct import (
     CATALOG_PARAMS,
     CombinationWeights,
     ConstraintError,
-    DecompositionError,
-    MAX_FAMILY_COEFFS,
     MultiplierSequence,
     catalog,
     catalog_names,
@@ -51,7 +51,6 @@ from .construct import (
     transform_family_check,
 )
 from .criteria import (
-    MAX_EPS_SAMPLES,
     NearZeroError,
     SpiralParams,
     VerificationReport,
@@ -62,6 +61,7 @@ from .harmonic import GridSpec, HarmonicMapSpec, ScanResult
 from .mapfile import (
     MapDocument,
     MapFileError,
+    NonFiniteOutputError,
     document_from_map,
     emit_map_document,
     format_number,
@@ -138,16 +138,13 @@ def _parse_grid(text: str, eps: float) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("grid must be r_min,r_max,n_r,n_theta")
-    try:
-        return GridSpec(
-            r_min=float(parts[0]),
-            r_max=float(parts[1]),
-            n_radii=int(parts[2]),
-            n_angles=int(parts[3]),
-            margin_eps=eps,
-        )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return GridSpec(
+        r_min=float(parts[0]),
+        r_max=float(parts[1]),
+        n_radii=int(parts[2]),
+        n_angles=int(parts[3]),
+        margin_eps=eps,
+    )
 
 
 def _order(n, what: str):
@@ -158,15 +155,6 @@ def _order(n, what: str):
     if n is not None and n > MAX_ORDER:
         raise argparse.ArgumentTypeError(f"{what} {n} exceeds the largest order {MAX_ORDER}")
     return n
-
-
-def _spiral(lam: float) -> SpiralParams:
-    """The angle of ``--lambda``; outside (-pi/2, pi/2), NaN included, a usage
-    error."""
-    try:
-        return SpiralParams(lam)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_indexed(values, what: str, complex_ok: bool = True) -> dict[int, complex]:
@@ -217,7 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weights(args) -> int:
     _order(args.n, "--n")
-    p = _spiral(args.lam)
+    p = SpiralParams(args.lam)
     wt = weight_table(p, args.n)
     print(f"lambda = {format_number(p.lam)}")
     print(f"B = {format_number(wt.B)}")
@@ -242,7 +230,7 @@ def _dict_to_tail(d: dict[int, complex], start: int, n_max: int, what: str) -> n
 
 
 def _cmd_construct(args) -> int:
-    p = _spiral(args.lam) if args.lam is not None else None
+    p = SpiralParams(args.lam) if args.lam is not None else None
     if args.builder == "extremal":
         order = _order(args.truncation, "--truncation")
         x = _parse_indexed(args.x, "--x")
@@ -298,16 +286,12 @@ def _cmd_construct(args) -> int:
             a=h.coeffs[2:], b=[], truncation_order=h.order, signed_form=False
         )
     else:  # f-epsilon
-        if not 1 <= args.n_eps <= MAX_EPS_SAMPLES:
-            raise argparse.ArgumentTypeError(f"--n-eps must lie in 1..{MAX_EPS_SAMPLES}")
         if args.from_file is None:
             raise MapFileError("construct f-epsilon needs --from")
         F, p_file = load_map_file(args.from_file)
         p = p or p_file
         if not F.signed_form:
             raise MapFileError("construct f-epsilon needs a signed-form input map")
-        if args.n_eps * F.truncation_order > MAX_FAMILY_COEFFS:
-            raise argparse.ArgumentTypeError(f"--n-eps x truncation exceeds {MAX_FAMILY_COEFFS}")
         res = transform_family_check(
             F.h_series(), F.g_series(), p,
             grid=_parse_grid(args.grid, args.eps), n_eps=args.n_eps,
@@ -329,20 +313,17 @@ def _cmd_construct(args) -> int:
 
 def _cmd_plot(args) -> int:
     m, _ = load_map_file(args.file)
-    try:
-        if args.radii is None:
-            radii = DEFAULT_RADII
-        elif args.radii.strip():
-            radii = tuple(float(r) for r in args.radii.split(","))
-        else:
-            radii = ()  # PlotSpec refuses it: need at least one radius
-        spec = PlotSpec(
-            radii=radii,
-            samples_per_circle=args.samples,
-            fmt="csv" if args.csv else "svg",
-        )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    if args.radii is None:
+        radii = DEFAULT_RADII
+    elif args.radii.strip():
+        radii = tuple(float(r) for r in args.radii.split(","))
+    else:
+        radii = ()  # PlotSpec refuses it: need at least one radius
+    spec = PlotSpec(
+        radii=radii,
+        samples_per_circle=args.samples,
+        fmt="csv" if args.csv else "svg",
+    )
     # Every curve is evaluated and checked before the output is opened, so a
     # curve that overflows writes no file.
     _write_output(plot_blocks(m, spec), args.out)
@@ -364,7 +345,7 @@ def _cmd_catalog(args) -> int:
             print(f"  {known}", file=sys.stderr)
         return _USAGE_EXIT
     lam = args.lam if args.lam is not None else 0.0
-    p = _spiral(lam)
+    p = SpiralParams(lam)
     alpha, params = None, {}
     if args.alpha_im is not None and args.alpha_re is None:
         raise argparse.ArgumentTypeError("--alpha-im needs --alpha")
@@ -373,10 +354,7 @@ def _cmd_catalog(args) -> int:
             raise argparse.ArgumentTypeError(f"catalog entry {name!r} takes no --alpha")
         alpha = complex(args.alpha_re, args.alpha_im or 0.0)
         params["alpha"] = [alpha.real, alpha.imag] if alpha.imag else alpha.real
-    try:
-        m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
-    except ValueError as exc:  # a missing alpha, or an alpha or truncation the entry refuses
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    m = catalog(name, p=p, alpha=alpha, order=_order(args.truncation, "--truncation"))
     doc = MapDocument(
         lam=lam,
         truncation=m.truncation_order,
@@ -470,14 +448,16 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
     if extra:  # argparse hands a subcommand's unknown options back to the top-level parser
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # The one place an error becomes an exit status: a failed computation
+    # exits 1, any refused input or failed read or write exits 2.
     try:
         return args.func(args)
-    except (MapFileError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except (ConstraintError, DecompositionError, NearZeroError, ValueError) as exc:
+    except (ConstraintError, NearZeroError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAIL_EXIT
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
 
 
 if __name__ == "__main__":  # pragma: no cover

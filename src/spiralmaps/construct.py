@@ -114,7 +114,7 @@ def extremal_family(x, y, p: SpiralParams, order: int | None = None) -> Harmonic
     y = np.asarray(list(y), dtype=np.complex128)
     budget = float(np.abs(x).sum() + np.abs(y).sum())
     if budget > 1.0 + 1e-12:
-        raise ConstraintError(f"weight budget sum|x| + sum|y| = {budget:.6g} exceeds 1")
+        raise ConstraintError(f"weight budget sum|x| + sum|y| = {budget!r} exceeds 1")
     if order is None:
         order = max(x.size + 1, y.size)
     # Weights past the order are formed too, so that HarmonicMapSpec names
@@ -230,8 +230,8 @@ def multiplier_transfer(
     if np.any(over):
         n_bad = int(np.argmax(over)) + 1
         raise ConstraintError(
-            f"|d_{n_bad}| = {abs(dd[n_bad - 1]):.6g} exceeds "
-            f"{n_bad}*B/A_{n_bad} = {bound[n_bad - 1]:.6g}"
+            f"|d_{n_bad}| = {float(abs(dd[n_bad - 1]))!r} exceeds "
+            f"{n_bad}*B/A_{n_bad} = {float(bound[n_bad - 1])!r}"
         )
     a = dd[1:] * np.abs(F.a)
     b = dd * np.abs(F.b)

@@ -17,7 +17,7 @@ Every number this package writes as text goes through this module:
 ``format_number`` for a single number and ``format_array`` for a whole
 array (coefficient lists here, plotted curves in ``render``).  Both apply
 one rule: 9 significant digits (``%.9g``), ``-0.0`` written as ``0``, and
-``ValueError("non-finite number in output")`` on NaN or inf.
+``NonFiniteOutputError("non-finite number in output")`` on NaN or inf.
 """
 
 from __future__ import annotations
@@ -39,11 +39,16 @@ class MapFileError(ValueError):
     """A map file failed to parse or validate; the message names the field."""
 
 
+class NonFiniteOutputError(ValueError):
+    """A number to be written overflowed to NaN or inf: the computation,
+    not its input, failed."""
+
+
 def format_number(x: float) -> str:
     """Canonical 9-significant-digit rendering used in every text output."""
     x = float(x) + 0.0  # normalize -0.0
     if not math.isfinite(x):
-        raise ValueError("non-finite number in output")
+        raise NonFiniteOutputError("non-finite number in output")
     return format(x, ".9g")
 
 
@@ -61,7 +66,7 @@ def format_array(template: str, *columns) -> str:
     """
     values = np.column_stack(columns) + 0.0  # normalize -0.0
     if not np.isfinite(values).all():
-        raise ValueError("non-finite number in output")
+        raise NonFiniteOutputError("non-finite number in output")
     return template % tuple(values.ravel().tolist())
 
 

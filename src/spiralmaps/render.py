@@ -8,7 +8,7 @@ number at 9 significant digits, no timestamps.
 A render first evaluates every circle into one (radii, samples) image
 array, whole circles per ``eval_f`` call (the default 7 x 720 plot is one
 call), and rejects a curve that overflowed to NaN or inf with
-``ValueError("non-finite number in output")``, without numpy warnings.
+``mapfile.NonFiniteOutputError``, without numpy warnings.
 Then :func:`plot_blocks` formats it a block at a time, which the CLI writes
 as it goes; :func:`render_csv` and :func:`render_svg` join the same blocks.
 Numbers are formatted one array at a time by ``mapfile.format_array``, one
@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .harmonic import BLOCK_POINTS, HarmonicMapSpec, eval_f
-from .mapfile import format_array, format_number
+from .mapfile import NonFiniteOutputError, format_array, format_number
 
 #: Default radii resolve the boundary shear of strongly spiralled images.
 DEFAULT_RADII = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)
@@ -65,16 +65,13 @@ class PlotSpec:
     radii: tuple = field(default_factory=lambda: DEFAULT_RADII)
     samples_per_circle: int = 720
     fmt: str = "svg"
-    width: int = 800
-    height: int = 800
 
     def __post_init__(self):
-        for name in ("samples_per_circle", "width", "height"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        samples = self.samples_per_circle
+        try:
+            object.__setattr__(self, "samples_per_circle", operator.index(samples))
+        except TypeError:
+            raise ValueError(f"samples_per_circle must be an integer, got {samples!r}") from None
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise ValueError("need at least one radius")
@@ -91,9 +88,6 @@ class PlotSpec:
             )
         if self.fmt not in ("svg", "csv"):
             raise ValueError("format must be 'svg' or 'csv'")
-        for name in ("width", "height"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"canvas {name} must be positive")
         object.__setattr__(self, "radii", radii)
 
 
@@ -137,8 +131,8 @@ def _images(m: HarmonicMapSpec, spec: PlotSpec) -> np.ndarray:
     Whole circles are evaluated together in blocks of fewer than
     ``BLOCK_POINTS`` points, and a larger circle alone: below that size a
     closed form gives each point the bits a one-circle call gives it (see
-    ``harmonic._block_rings``).  Raises ``ValueError("non-finite number in
-    output")`` if any point overflowed.
+    ``harmonic._block_rings``).  Raises ``NonFiniteOutputError`` if any
+    point overflowed.
     """
     samples = spec.samples_per_circle
     step = max(1, (BLOCK_POINTS - 1) // samples)  # circles per eval_f call
@@ -147,7 +141,7 @@ def _images(m: HarmonicMapSpec, spec: PlotSpec) -> np.ndarray:
     for i in range(0, radii.size, step):
         w[i : i + step] = circle_image(m, radii[i : i + step], samples)
     if not np.isfinite(w).all():
-        raise ValueError("non-finite number in output")
+        raise NonFiniteOutputError("non-finite number in output")
     return w
 
 
@@ -191,9 +185,10 @@ def _csv_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
         yield format_array(template, block.real.ravel(), block.imag.ravel())
 
 
-def _svg_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
-    """The SVG document of ``w``: its header is formatted now (a span that
-    overflows raises here), its polylines as the blocks are consumed."""
+def _svg_blocks(w: np.ndarray) -> Iterator[str]:
+    """The SVG document of ``w`` on an 800 x 800 canvas: its header is
+    formatted now (a span that overflows raises here), its polylines as the
+    blocks are consumed."""
     xmin, xmax = float(w.real.min()), float(w.real.max())
     ymin, ymax = float(-w.imag.max()), float(-w.imag.min())
     span = max(xmax - xmin, ymax - ymin, 1e-9)
@@ -201,8 +196,7 @@ def _svg_blocks(w: np.ndarray, spec: PlotSpec) -> Iterator[str]:
     view = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="800" '
         f'viewBox="{" ".join(format_number(v) for v in view)}">\n'
     )
     return itertools.chain((header,), _polylines(w, format_number(span / 400.0)))
@@ -233,12 +227,12 @@ def plot_blocks(m: HarmonicMapSpec, spec: PlotSpec) -> Iterator[str]:
     :func:`render_csv` or :func:`render_svg`.
 
     Every curve is evaluated and checked, and the SVG header formatted,
-    before this returns, so a curve that overflows raises ``ValueError``
-    before the first block; the rest is formatted a block at a time as it
-    is consumed.
+    before this returns, so a curve that overflows raises
+    ``NonFiniteOutputError`` before the first block; the rest is formatted
+    a block at a time as it is consumed.
     """
     w = _images(m, spec)
-    return _csv_blocks(w, spec) if spec.fmt == "csv" else _svg_blocks(w, spec)
+    return _csv_blocks(w, spec) if spec.fmt == "csv" else _svg_blocks(w)
 
 
 def render_csv(m: HarmonicMapSpec, spec: PlotSpec) -> str:
@@ -252,4 +246,4 @@ def render_svg(m: HarmonicMapSpec, spec: PlotSpec) -> str:
     The imaginary axis points up on screen (SVG y is flipped).  The viewBox
     is fitted to the data with 5% padding.
     """
-    return "".join(_svg_blocks(_images(m, spec), spec))
+    return "".join(_svg_blocks(_images(m, spec)))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: verify, weights, construct, plot, catalog."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -9,8 +10,17 @@ import warnings
 import numpy as np
 import pytest
 
+from spiralmaps import cli
 from spiralmaps.cli import main
-from spiralmaps.mapfile import emit_map_document, parse_map_document
+from spiralmaps.construct import ConstraintError, DecompositionError
+from spiralmaps.criteria import ClassFormError, HypothesisError, NearZeroError
+from spiralmaps.mapfile import (
+    MapFileError,
+    NonFiniteOutputError,
+    emit_map_document,
+    parse_map_document,
+)
+from spiralmaps.series import NormalizationError
 
 
 def run_cli(args, capsys):
@@ -679,3 +689,92 @@ def test_non_finite_indexed_value_is_a_usage_error(builder, option, value, ident
     assert (rc, out) == (2, "")
     assert err == f"error: {option} entry {value!r} contains a non-finite value\n"
     assert not out_path.exists()
+
+
+def map_text(signed_form, a):
+    return json.dumps({"lambda": 0.3, "truncation": 2, "signed_form": signed_form,
+                       "a": a, "b": []})
+
+
+# Inputs the program refuses: each exits 2 with one error line, whichever
+# layer refuses it (the map, its class form, the weights or the file read).
+# The input is the text or bytes of a file, DIRECTORY, or None for no file.
+DIRECTORY = object()
+COMBO = ["construct", "combo", "--lambda", "0.3", "--X", "1=0.5", "--Y", "1=0.3"]
+DN_MAX = ["construct", "multiplier", "--dn-max", "--from", "{}"]
+REFUSED_INPUTS = {
+    "a past the truncation, verify": (map_text(False, [[0.1, 0]] * 2), ["verify", "{}"]),
+    "a past the truncation, plot": (map_text(False, [[0.1, 0]] * 2), ["plot", "{}"]),
+    "a past the truncation, construct": (map_text(False, [[0.1, 0]] * 2), DN_MAX),
+    "signed form with a_2 > 0": (map_text(True, [[0.1, 0]]), ["verify", "{}"]),
+    "multiplier of an unsigned map": (map_text(False, [[0.1, 0]]), DN_MAX),
+    "combo weights summing past 1": (None, [*COMBO, "--X", "2=0.3"]),
+    "negative combo weight": (None, [*COMBO, "--X", "2=-0.1"]),
+    "a directory": (DIRECTORY, ["verify", "{}"]),
+    "not utf-8": (map_text(False, []).encode() + b"\xe9", ["verify", "{}"]),
+}
+
+
+def input_path(tmp_path, content):
+    path = tmp_path / "input"
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_is_a_usage_error(case, tmp_path, capsys):
+    content, argv = REFUSED_INPUTS[case]
+    path = input_path(tmp_path, content)
+    rc, out, err = run_cli([a.format(path) for a in argv], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_directory_is_a_usage_error_without_a_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiralmaps", "verify", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, rc",
+    [
+        (ConstraintError, 1),
+        (NearZeroError, 1),
+        (NonFiniteOutputError, 1),
+        (MapFileError, 2),
+        (ClassFormError, 2),
+        (HypothesisError, 2),
+        (NormalizationError, 2),
+        (DecompositionError, 2),
+        (ValueError, 2),
+        (FileNotFoundError, 2),
+        (IsADirectoryError, 2),
+        (argparse.ArgumentTypeError, 2),
+    ],
+)
+def test_exit_status_rule(error, rc, monkeypatch, capsys):
+    # main alone maps an error to its exit status: 1 for a failed
+    # computation, 2 for anything the program refuses.
+    def command(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "_cmd_weights", command)
+    assert run_cli(["weights", "--lambda", "0.3", "--n", "4"], capsys) == (rc, "", "error: refused\n")
+
+
+def test_constraint_error_shows_the_excess(capsys):
+    rc, out, err = run_cli(["construct", "extremal", "--lambda", "0.3", "--x", "2=0.5",
+                            "--y", "1=0.50000000001"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: weight budget sum|x| + sum|y| = 1.00000000001 exceeds 1\n"

@@ -73,6 +73,12 @@ class TestExtremalFamily:
         with pytest.raises(ConstraintError):
             extremal_family([0.7], [0.7], PI4, order=2)
 
+    def test_budget_error_shows_the_excess(self):
+        # 2e-12 past the gate: the sum is printed in full, not rounded to 1.
+        with pytest.raises(ConstraintError) as exc:
+            extremal_family([0.5], [0.5 + 2e-12], SpiralParams(0.3))
+        assert str(exc.value) == f"weight budget sum|x| + sum|y| = {0.5 + (0.5 + 2e-12)!r} exceeds 1"
+
     def test_weights_past_the_order_are_named_by_the_map(self):
         # Not numpy's broadcast error: the map's own message, as for any
         # coefficients that do not fit, and so for a catalog entry below its degree.
@@ -182,6 +188,17 @@ class TestMultiplierTransfer:
         bad[2] = 3 * wt.necessary_ratios()[3] + 0.01
         with pytest.raises(ConstraintError, match="d_3"):
             multiplier_transfer(F, MultiplierSequence(bad), PI4)
+
+    def test_bound_error_shows_the_excess(self):
+        # 2e-12 past the bound: both numbers are printed in full, so the
+        # message shows |d_3| above n*B/A_3.
+        F = HarmonicMapSpec(a=[], b=[0.5], truncation_order=3, signed_form=True)
+        bound = float(3 * weight_table(PI4, 3).necessary_ratios()[3])
+        bad = np.zeros(3, dtype=complex)
+        bad[2] = bound + 2e-12
+        with pytest.raises(ConstraintError) as exc:
+            multiplier_transfer(F, MultiplierSequence(bad), PI4)
+        assert str(exc.value) == f"|d_3| = {bound + 2e-12!r} exceeds 3*B/A_3 = {bound!r}"
 
     def test_budget_gate(self):
         F = HarmonicMapSpec(a=[], b=[1.5], truncation_order=1, signed_form=True)

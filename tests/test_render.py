@@ -54,8 +54,8 @@ def per_radius_svg(m, spec):
     view = (xmin - pad, ymin - pad, (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="{" ".join(map(format_number, view))}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="800" '
+        f'viewBox="{" ".join(map(format_number, view))}">',
     ]
     for k, curve in enumerate(curves):
         points = " ".join(
@@ -110,22 +110,16 @@ class TestPlotSpec:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("samples_per_circle", 64.5), ("samples_per_circle", np.float64(100.0)),
-         ("width", 0.5), ("height", 800.0), ("width", "800")],
+        [("samples_per_circle", 64.5), ("samples_per_circle", np.float64(100.0))],
     )
     def test_integer_fields(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             PlotSpec(**{name: value})
 
     def test_numpy_integers_are_accepted(self):
-        spec = PlotSpec(radii=(0.5,), samples_per_circle=np.int64(64), width=np.int32(300))
-        assert type(spec.samples_per_circle) is int and type(spec.width) is int
+        spec = PlotSpec(radii=(0.5,), samples_per_circle=np.int64(64))
+        assert type(spec.samples_per_circle) is int
         assert render_svg(identity_map(2), spec).count("<polyline") == 1
-
-    @pytest.mark.parametrize("name", ["width", "height"])
-    def test_canvas_must_be_positive(self, name):
-        with pytest.raises(ValueError, match=f"^canvas {name} must be positive"):
-            PlotSpec(**{name: 0})
 
 
 class TestCurves:
